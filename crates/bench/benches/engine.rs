@@ -11,7 +11,7 @@ use datatype::convertor::pack_all;
 use datatype::testutil::{buffer_span, pattern};
 use datatype::DataType;
 use devengine::{build_plan, DevCache};
-use simcore::par::{par_transfer, scoped::par_transfer_scoped, CopyOp, POOL_THREADS_ENV};
+use simcore::par::{par_transfer, CopyOp, POOL_THREADS_ENV};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -106,40 +106,6 @@ fn bench_par_transfer() {
     }
 }
 
-/// Persistent pool vs per-call scoped spawns on the same ≥1 MB
-/// transfers — the delta the pool rewrite exists for.
-fn bench_pool_vs_scoped() {
-    let seg = 4096usize;
-    for mb in [1usize, 4] {
-        let count = (mb << 20) / seg;
-        let src = pattern(seg * count * 2);
-        let mut dst = vec![0u8; seg * count];
-        let ops: Vec<CopyOp> = (0..count)
-            .map(|i| CopyOp {
-                src_off: i * 2 * seg,
-                dst_off: i * seg,
-                len: seg,
-            })
-            .collect();
-        bench(
-            &format!("par_transfer_pooled/{mb}MB"),
-            (seg * count) as u64,
-            || {
-                par_transfer(&mut dst, &src, &ops);
-                black_box(dst[0]);
-            },
-        );
-        bench(
-            &format!("par_transfer_scoped/{mb}MB"),
-            (seg * count) as u64,
-            || {
-                par_transfer_scoped(&mut dst, &src, &ops);
-                black_box(dst[0]);
-            },
-        );
-    }
-}
-
 /// Structural vs identity cache keying on the re-built-datatype pattern
 /// (a fresh Session constructing the same types each epoch): the
 /// structural key hits, the identity key rebuilt the full plan.
@@ -204,9 +170,9 @@ fn bench_sim_throughput() {
 
 fn main() {
     // On single-core runners the lazily-started pool would size itself
-    // to one inline lane (both pooled and scoped paths become a plain
-    // memcpy), so force a small pool before anything starts it — an
-    // explicit user choice always wins.
+    // to one inline lane (the pooled path becomes a plain memcpy), so
+    // force a small pool before anything starts it — an explicit user
+    // choice always wins.
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -217,7 +183,6 @@ fn main() {
     bench_dev_generation();
     bench_cpu_pack();
     bench_par_transfer();
-    bench_pool_vs_scoped();
     bench_devcache_keying();
     bench_segment_walk();
     bench_sim_throughput();

@@ -24,7 +24,7 @@ use gpusim::GpuWorld as _;
 use memsim::MemSpace;
 use mpirt::api::PingPongSpec;
 use mpirt::{ping_pong, MpiConfig, MpiWorld};
-use simcore::par::{par_transfer, par_transfer_lanes, scoped::par_transfer_scoped, CopyOp};
+use simcore::par::{par_transfer, par_transfer_lanes, CopyOp};
 use simcore::{scratch, Sim, SimTime};
 use std::cell::RefCell;
 use std::hint::black_box;
@@ -204,8 +204,8 @@ fn events_wallclock(target_events: u64, reps: u32) -> Series {
     }
 }
 
-/// Pooled vs scoped-spawn `par_transfer` on the same ≥1 MB gather.
-fn transfer_wallclock(mb: usize, reps: u32) -> Vec<Series> {
+/// Pooled `par_transfer` on a ≥1 MB gather of 4 KB segments.
+fn transfer_wallclock(mb: usize, reps: u32) -> Series {
     let seg = 4096usize;
     let count = (mb << 20) / seg;
     let src: Vec<u8> = (0..seg * count * 2).map(|i| (i % 251) as u8).collect();
@@ -218,32 +218,19 @@ fn transfer_wallclock(mb: usize, reps: u32) -> Vec<Series> {
         })
         .collect();
     let bytes = (seg * count) as f64;
-    let mut run = |use_pool: bool| -> f64 {
-        let f = if use_pool {
-            par_transfer
-        } else {
-            par_transfer_scoped
-        };
-        f(&mut dst, &src, &ops); // warm
-        let wall = Instant::now();
-        for _ in 0..reps {
-            f(&mut dst, &src, &ops);
-            black_box(dst[0]);
-        }
-        bytes * reps as f64 / wall.elapsed().as_secs_f64() / 1e9
-    };
-    let pooled = run(true);
-    let scoped = run(false);
-    vec![
-        Series {
-            name: format!("par_transfer_pooled_{mb}mb"),
-            fields: vec![("gbps", pooled)],
-        },
-        Series {
-            name: format!("par_transfer_scoped_{mb}mb"),
-            fields: vec![("gbps", scoped)],
-        },
-    ]
+    par_transfer(&mut dst, &src, &ops); // warm
+    let wall = Instant::now();
+    for _ in 0..reps {
+        par_transfer(&mut dst, &src, &ops);
+        black_box(dst[0]);
+    }
+    Series {
+        name: format!("par_transfer_pooled_{mb}mb"),
+        fields: vec![(
+            "gbps",
+            bytes * reps as f64 / wall.elapsed().as_secs_f64() / 1e9,
+        )],
+    }
 }
 
 /// The same gather pinned to each lane count the pool can actually
@@ -401,8 +388,8 @@ fn main() {
     series.push(pingpong_wallclock(pp_n, pp_iters, pp_reps));
     eprintln!("# event loop...");
     series.push(events_wallclock(target_events, 5));
-    eprintln!("# par_transfer pooled vs scoped...");
-    series.extend(transfer_wallclock(transfer_mb, transfer_reps));
+    eprintln!("# par_transfer pooled...");
+    series.push(transfer_wallclock(transfer_mb, transfer_reps));
     eprintln!("# par_transfer per-lane scaling...");
     series.extend(transfer_lanes_wallclock(transfer_mb, transfer_reps));
     eprintln!("# par_transfer fine-grained (64 B segments)...");

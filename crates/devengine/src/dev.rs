@@ -99,19 +99,41 @@ impl DevPlan {
     /// `from` (a fragment buffer). Units straddling the boundary are
     /// trimmed. Allocation-free once `out` has warmed up.
     pub fn slice_into(&self, from: u64, to: u64, out: &mut Vec<CopyOp>) {
+        let from_us = from as usize;
+        self.slice_mapped(from, to, out, |u| CopyOp {
+            src_off: u.src_off,
+            dst_off: u.dst_off - from_us,
+            len: u.len,
+        });
+    }
+
+    /// [`Self::slice_into`] in unpack orientation: the rebased packed
+    /// offset is the source and the typed offset the destination —
+    /// `slice_into` followed by [`flip_units_in_place`], in one pass.
+    pub fn slice_unpack_into(&self, from: u64, to: u64, out: &mut Vec<CopyOp>) {
+        let from_us = from as usize;
+        self.slice_mapped(from, to, out, |u| CopyOp {
+            src_off: u.dst_off - from_us,
+            dst_off: u.src_off,
+            len: u.len,
+        });
+    }
+
+    fn slice_mapped(
+        &self,
+        from: u64,
+        to: u64,
+        out: &mut Vec<CopyOp>,
+        map: impl Fn(&CopyOp) -> CopyOp,
+    ) {
         out.clear();
         let parts = self.slice_parts(from, to);
-        let rebase = |u: &CopyOp| CopyOp {
-            src_off: u.src_off,
-            dst_off: u.dst_off - from as usize,
-            len: u.len,
-        };
         if let Some(h) = &parts.head {
-            out.push(rebase(h));
+            out.push(map(h));
         }
-        out.extend(parts.middle.iter().map(rebase));
+        out.extend(parts.middle.iter().map(&map));
         if let Some(t) = &parts.tail {
-            out.push(rebase(t));
+            out.push(map(t));
         }
     }
 

@@ -3,7 +3,7 @@
 
 use crate::cache::DevCache;
 use crate::config::EngineConfig;
-use crate::dev::{flip_units_in_place, DevCursor, DevPlan};
+use crate::dev::{DevCursor, DevPlan};
 use crate::tune;
 use datatype::{DataType, Strided2D, TypeError};
 use gpusim::{launch_transfer_kernel, GpuWorld, KernelConfig, StreamId};
@@ -320,24 +320,30 @@ impl FragmentEngine {
     }
 
     /// Fill `units` (cleared first) with the units for the next `n`
-    /// packed bytes (pack orientation, packed offsets rebased to the
-    /// fragment). Returns whether CPU prep is owed. Writing into a
-    /// caller-supplied buffer keeps the steady-state fragment loop
-    /// allocation-free — the buffers themselves cycle through
-    /// [`simcore::scratch`].
+    /// packed bytes, packed offsets rebased to the fragment and already
+    /// oriented for `self.dir` (typed side as the source for a pack, as
+    /// the destination for an unpack). Returns whether CPU prep is owed.
+    /// Writing into a caller-supplied buffer keeps the steady-state
+    /// fragment loop allocation-free — the buffers themselves cycle
+    /// through [`simcore::scratch`].
     fn take_units_into(&mut self, n: u64, units: &mut Vec<CopyOp>) -> bool {
         let from = self.pos;
+        let dir = self.dir;
         match &mut self.source {
             UnitSource::Fresh(cur) => {
                 cur.next_units_into(n, units);
                 for u in units {
-                    u.dst_off -= from as usize;
+                    *u = oriented(dir, u.src_off, u.dst_off - from as usize, u.len);
                 }
                 true
             }
             UnitSource::Cached { plan, pos } => {
-                plan.slice_into(*pos, (*pos + n).min(plan.total_bytes), units);
-                *pos = (*pos + n).min(plan.total_bytes);
+                let to = (*pos + n).min(plan.total_bytes);
+                match dir {
+                    Direction::Pack => plan.slice_into(*pos, to, units),
+                    Direction::Unpack => plan.slice_unpack_into(*pos, to, units),
+                }
+                *pos = to;
                 false
             }
             UnitSource::Vector {
@@ -356,11 +362,12 @@ impl FragmentEngine {
                     let intra = p % bb;
                     let take = (bb - intra).min(to - p);
                     let disp = *first_disp + block as i64 * *stride + intra as i64;
-                    units.push(CopyOp {
-                        src_off: (disp - self.base_shift) as usize,
-                        dst_off: (p - from) as usize,
-                        len: take as usize,
-                    });
+                    units.push(oriented(
+                        dir,
+                        (disp - self.base_shift) as usize,
+                        (p - from) as usize,
+                        take as usize,
+                    ));
                     p += take;
                 }
                 *pos = to;
@@ -381,11 +388,12 @@ impl FragmentEngine {
                         + i * shape.outer_stride
                         + j * shape.inner_stride
                         + intra as i64;
-                    units.push(CopyOp {
-                        src_off: (disp - self.base_shift) as usize,
-                        dst_off: (p - from) as usize,
-                        len: take as usize,
-                    });
+                    units.push(oriented(
+                        dir,
+                        (disp - self.base_shift) as usize,
+                        (p - from) as usize,
+                        take as usize,
+                    ));
                     p += take;
                 }
                 *pos = to;
@@ -430,10 +438,7 @@ impl FragmentEngine {
         let typed = self.typed.offset_by(self.base_shift);
         let (ksrc, kdst) = match self.dir {
             Direction::Pack => (typed, frag),
-            Direction::Unpack => {
-                flip_units_in_place(&mut units);
-                (frag, typed)
-            }
+            Direction::Unpack => (frag, typed),
         };
         let kcfg = KernelConfig {
             blocks: self.cfg.blocks,
@@ -474,6 +479,24 @@ impl FragmentEngine {
                 on_complete(sim, n);
             });
         }
+    }
+}
+
+/// One unit moving `len` bytes between typed offset `typed` and packed
+/// offset `packed`, in the kernel orientation `dir` needs.
+#[inline]
+fn oriented(dir: Direction, typed: usize, packed: usize, len: usize) -> CopyOp {
+    match dir {
+        Direction::Pack => CopyOp {
+            src_off: typed,
+            dst_off: packed,
+            len,
+        },
+        Direction::Unpack => CopyOp {
+            src_off: packed,
+            dst_off: typed,
+            len,
+        },
     }
 }
 
@@ -826,6 +849,86 @@ mod tests {
             let r = (base + s.disp) as usize..(base + s.disp) as usize + s.len as usize;
             assert_eq!(&got[r.clone()], &bytes[r], "segment at {}", s.disp);
         }
+    }
+
+    /// Unpack `ty` fragment by fragment from its reference pack and
+    /// check every typed segment lands; returns whether the engine's
+    /// source was prep-free (cached, vector or strided2d).
+    fn unpack_in_fragments(
+        ty: &DataType,
+        cfg: EngineConfig,
+        cache: Option<&Rc<RefCell<DevCache>>>,
+    ) -> bool {
+        let mut sim = world();
+        let gpu = GpuId(0);
+        let (base, len) = buffer_span(ty, 1);
+        let bytes = pattern(len);
+        let total = ty.size();
+        let packed = sim
+            .world
+            .memory
+            .alloc(MemSpace::Device(gpu), total)
+            .unwrap();
+        sim.world
+            .memory
+            .write(packed, &reference_pack(ty, 1, &bytes, base))
+            .unwrap();
+        let out = sim
+            .world
+            .memory
+            .alloc(MemSpace::Device(gpu), len as u64)
+            .unwrap();
+        let stream = sim.world.gpu_system.default_stream(gpu);
+        let mut eng = FragmentEngine::new(
+            &mut sim,
+            0,
+            stream,
+            ty,
+            1,
+            out.add(base as u64),
+            Direction::Unpack,
+            cfg,
+            cache,
+        )
+        .unwrap();
+        let prep_free = eng.cpu_stage_free();
+        while !eng.finished() {
+            let frag = packed.add(eng.position());
+            eng.process_fragment(&mut sim, frag, 1000, |_| {}, |_, _| {});
+            sim.run();
+        }
+        let got = sim.world.memory.read_vec(out, len as u64).unwrap();
+        for s in ty.segments(1) {
+            let r = (base + s.disp) as usize..(base + s.disp) as usize + s.len as usize;
+            assert_eq!(&got[r.clone()], &bytes[r], "{ty}: segment at {}", s.disp);
+        }
+        prep_free
+    }
+
+    #[test]
+    fn every_source_unpacks_in_fragments() {
+        // Each unit source emits unpack-oriented units itself; all four
+        // must scatter the packed stream back to the typed layout.
+        let opt = EngineConfig {
+            optimizer: OptimizerConfig::enabled(),
+            ..Default::default()
+        };
+        let tri = triangular(40);
+        assert!(!unpack_in_fragments(&tri, EngineConfig::default(), None));
+        let cache = Rc::new(RefCell::new(DevCache::default()));
+        for _ in 0..2 {
+            assert!(unpack_in_fragments(
+                &tri,
+                EngineConfig::default(),
+                Some(&cache)
+            ));
+        }
+        assert!(unpack_in_fragments(&submatrix(24), opt.clone(), None));
+        let n = 24u64;
+        let col = DataType::vector(n, 1, n as i64, &DataType::double()).unwrap();
+        let transpose = DataType::hvector(n, 1, 8, &col).unwrap().commit();
+        assert!(transpose.strided2d_shape().is_some());
+        assert!(unpack_in_fragments(&transpose, opt, None));
     }
 
     #[test]

@@ -12,7 +12,7 @@
 
 use datatype::testutil::arb_datatype;
 use datatype::DataType;
-use devengine::{build_plan, build_plan_opt, DevCursor};
+use devengine::{build_plan, build_plan_opt, flip_units_in_place, DevCursor};
 use simcore::par::CopyOp;
 use simcore::rng::SimRng;
 
@@ -264,4 +264,33 @@ fn sources_agree_on_the_paper_workloads() {
         "transpose must be strided2d-shaped"
     );
     check(&transpose, 1, "transpose");
+}
+
+#[test]
+fn unpack_slices_are_flipped_pack_slices() {
+    // The cached source slices straight into unpack orientation; that
+    // must be exactly the pack slice with every unit flipped, for any
+    // window, including empty and mid-unit ones.
+    let mut flipped = Vec::new();
+    let mut unpack = Vec::new();
+    for seed in 0..120u64 {
+        let mut rng = SimRng::new(0x5_11CE ^ seed);
+        let ty = arb_datatype(&mut rng).commit();
+        let count = rng.range_u64(1, 4);
+        let unit_size = *rng.choose(&[8u64, 64, 1024]);
+        let coalesce = rng.chance(0.5);
+        let plan = build_plan_opt(&ty, count, unit_size, coalesce).unwrap();
+        for _ in 0..24 {
+            let from = rng.range_u64(0, plan.total_bytes + 1);
+            let to = rng.range_u64(from, plan.total_bytes + 1);
+            plan.slice_into(from, to, &mut flipped);
+            flip_units_in_place(&mut flipped);
+            plan.slice_unpack_into(from, to, &mut unpack);
+            assert_eq!(
+                unpack, flipped,
+                "seed {seed}: window {from}..{to} of {} (unit {unit_size}, coalesce {coalesce})",
+                plan.total_bytes
+            );
+        }
+    }
 }

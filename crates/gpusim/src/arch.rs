@@ -263,6 +263,21 @@ mod tests {
     }
 
     #[test]
+    fn every_arch_has_shift_mask_line_geometry() {
+        // The kernel line model counts lines by shift and mask: both
+        // sizes must be powers of two and the chunk a whole number of
+        // transactions, on every registered part.
+        for arch in GpuArch::registry() {
+            let s = arch.spec();
+            let (txn, chunk) = (s.transaction_bytes, s.warp_chunk());
+            assert!(txn.is_power_of_two(), "{}: transaction {txn}", arch.name);
+            assert!(chunk.is_power_of_two(), "{}: warp chunk {chunk}", arch.name);
+            assert_eq!(chunk % txn, 0, "{}: chunk {chunk} vs txn {txn}", arch.name);
+            assert_eq!(arch.cost().warp_chunk, chunk, "{}", arch.name);
+        }
+    }
+
+    #[test]
     fn from_str_resolves() {
         let a: &'static GpuArch = "v100".into();
         assert_eq!(a.name, "v100");

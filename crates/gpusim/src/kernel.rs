@@ -51,41 +51,97 @@ impl Default for KernelConfig {
     }
 }
 
-/// 128-byte lines touched by one warp-chunked access of `len` bytes at
-/// byte address `disp`. Full 256-byte chunks share the same phase
-/// (256 ≡ 0 mod 128), so this is O(1).
-fn access_lines(disp: u64, len: u64, spec: &GpuSpec) -> u64 {
-    if len == 0 {
-        return 0;
-    }
-    let txn = spec.transaction_bytes;
-    let chunk = spec.warp_chunk();
-    let full_chunks = len / chunk;
-    let phase = disp % txn;
-    let lines_per_full = if phase == 0 {
-        chunk / txn
-    } else {
-        chunk / txn + 1
-    };
-    let mut lines = full_chunks * lines_per_full;
-    let residue = len % chunk;
-    if residue > 0 {
-        let start = disp + full_chunks * chunk;
-        lines += (start + residue - 1) / txn - start / txn + 1;
-    }
-    lines
+/// Transaction geometry of one GPU as shift/mask pairs. Transaction
+/// and warp-chunk sizes are powers of two on every registered part
+/// (32- or 128-byte lines, 256-byte chunks), so line counting needs no
+/// division; [`LineGeometry::of`] refuses a spec that breaks this.
+#[derive(Clone, Copy, Debug)]
+struct LineGeometry {
+    txn_shift: u32,
+    txn_mask: u64,
+    chunk_shift: u32,
+    chunk_mask: u64,
+    /// Lines a transaction-aligned full chunk touches (`chunk / txn`).
+    lines_per_chunk: u64,
 }
 
-/// DRAM traffic (bytes) one side of the kernel generates for a unit list,
-/// given the base byte offset of that side's buffer.
-pub fn side_traffic_bytes(units: &[CopyOp], base_off: u64, side_src: bool, spec: &GpuSpec) -> u64 {
-    units
-        .iter()
-        .map(|u| {
-            let off = base_off + if side_src { u.src_off } else { u.dst_off } as u64;
-            access_lines(off, u.len as u64, spec) * spec.transaction_bytes
-        })
-        .sum()
+impl LineGeometry {
+    fn of(spec: &GpuSpec) -> LineGeometry {
+        let txn = spec.transaction_bytes;
+        let chunk = spec.warp_chunk();
+        assert!(
+            txn.is_power_of_two() && chunk.is_power_of_two() && chunk >= txn,
+            "GpuSpec {:?}: transaction_bytes ({txn}) and warp_chunk ({chunk}) must be \
+             powers of two with the chunk a multiple of the transaction size",
+            spec.name
+        );
+        LineGeometry {
+            txn_shift: txn.trailing_zeros(),
+            txn_mask: txn - 1,
+            chunk_shift: chunk.trailing_zeros(),
+            chunk_mask: chunk - 1,
+            lines_per_chunk: chunk / txn,
+        }
+    }
+
+    /// Lines touched by one warp-chunked access of `len` bytes at byte
+    /// address `disp`. Full chunks all share the start's phase (the
+    /// chunk is a multiple of the line), so this is O(1): an aligned
+    /// chunk touches `chunk / txn` lines, a misaligned one straddles
+    /// one more, and the residue covers whatever lines its bytes span.
+    #[inline]
+    fn lines(&self, disp: u64, len: u64) -> u64 {
+        let full_chunks = len >> self.chunk_shift;
+        let misaligned = (disp & self.txn_mask != 0) as u64;
+        let mut lines = full_chunks * (self.lines_per_chunk + misaligned);
+        let residue = len & self.chunk_mask;
+        if residue > 0 {
+            let start = disp + (full_chunks << self.chunk_shift);
+            lines += ((start + residue - 1) >> self.txn_shift) - (start >> self.txn_shift) + 1;
+        }
+        lines
+    }
+}
+
+/// Transaction-sized lines touched by one warp-chunked access of `len`
+/// bytes at byte address `disp`. The single line-counting rule every
+/// charge site uses: kernel units through [`kernel_shape`], and
+/// `cudaMemcpy2D` rows in [`crate::copy`].
+pub(crate) fn access_lines(disp: u64, len: u64, spec: &GpuSpec) -> u64 {
+    LineGeometry::of(spec).lines(disp, len)
+}
+
+/// Everything the kernel cost model needs from a unit list, gathered in
+/// one pass: the unit count (descriptor traffic), the payload (PCIe
+/// bytes and the byte counters) and the lines each side touches when
+/// it sits in the executing GPU's DRAM.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct KernelShape {
+    /// Work units (descriptors) in the launch.
+    pub units: u64,
+    /// Payload bytes the launch moves.
+    pub payload: u64,
+    /// Lines touched on the source side, based at `src_base`.
+    pub src_lines: u64,
+    /// Lines touched on the destination side, based at `dst_base`.
+    pub dst_lines: u64,
+}
+
+/// Summarize `units` for pricing, with the source and destination
+/// buffers at byte offsets `src_base` and `dst_base`.
+pub fn kernel_shape(units: &[CopyOp], src_base: u64, dst_base: u64, spec: &GpuSpec) -> KernelShape {
+    let geo = LineGeometry::of(spec);
+    let mut shape = KernelShape {
+        units: units.len() as u64,
+        ..KernelShape::default()
+    };
+    for u in units {
+        let len = u.len as u64;
+        shape.payload += len;
+        shape.src_lines += geo.lines(src_base + u.src_off as u64, len);
+        shape.dst_lines += geo.lines(dst_base + u.dst_off as u64, len);
+    }
+    shape
 }
 
 /// Where one side of the transfer lives, relative to the executing GPU.
@@ -108,7 +164,9 @@ fn classify(ptr: Ptr, exec_gpu: memsim::GpuId) -> Side {
 }
 
 /// Pure timing of a transfer kernel (no event scheduling): used both by
-/// the launch path and by analytical tests.
+/// the launch path and by analytical tests. `shape` summarizes the
+/// launch's unit list with `src.offset` and `dst.offset` as its bases
+/// (see [`kernel_shape`]).
 #[allow(clippy::too_many_arguments)]
 pub fn transfer_kernel_time(
     spec: &GpuSpec,
@@ -118,10 +176,9 @@ pub fn transfer_kernel_time(
     src: Ptr,
     dst: Ptr,
     exec_gpu: memsim::GpuId,
-    units: &[CopyOp],
+    shape: &KernelShape,
     descriptor_stream: bool,
 ) -> SimTime {
-    let payload: u64 = units.iter().map(|u| u.len as u64).sum();
     let src_side = classify(src, exec_gpu);
     let dst_side = classify(dst, exec_gpu);
     assert!(
@@ -131,17 +188,15 @@ pub fn transfer_kernel_time(
 
     // The general DEV kernel streams its descriptors from local DRAM.
     let mut dram_traffic = if descriptor_stream {
-        units.len() as u64 * spec.descriptor_bytes
+        shape.units * spec.descriptor_bytes
     } else {
         0
     };
     let mut pcie_bytes = 0u64;
-    for (side, is_src, base) in [(src_side, true, src.offset), (dst_side, false, dst.offset)] {
+    for (side, lines) in [(src_side, shape.src_lines), (dst_side, shape.dst_lines)] {
         match side {
-            Side::LocalDevice => {
-                dram_traffic += side_traffic_bytes(units, base, is_src, spec);
-            }
-            Side::MappedHost | Side::PeerDevice => pcie_bytes += payload,
+            Side::LocalDevice => dram_traffic += lines * spec.transaction_bytes,
+            Side::MappedHost | Side::PeerDevice => pcie_bytes += shape.payload,
         }
     }
 
@@ -170,12 +225,21 @@ pub fn launch_transfer_kernel<W: GpuWorld>(
     cfg: KernelConfig,
     done: impl FnOnce(&mut Sim<W>, SimTime) + 'static,
 ) {
+    // One pass over the units prices every attempt and feeds the
+    // completion's byte counters.
+    let shape = kernel_shape(
+        &units,
+        src.offset,
+        dst.offset,
+        &sim.world.gpus_ref().gpu(stream.gpu).spec,
+    );
     launch_attempt(
         sim,
         stream,
         src,
         dst,
         units,
+        shape,
         cfg,
         fault::default_backoff(),
         done,
@@ -189,12 +253,13 @@ fn launch_attempt<W: GpuWorld>(
     src: Ptr,
     dst: Ptr,
     units: Vec<CopyOp>,
+    shape: KernelShape,
     cfg: KernelConfig,
     mut backoff: Backoff,
     done: impl FnOnce(&mut Sim<W>, SimTime) + 'static,
 ) {
     let gpu = stream.gpu;
-    let (eff_bw, spec, pcie_bw, pcie_lat) = {
+    let duration = {
         let sys = sim.world.gpus_ref();
         let g = sys.gpu(gpu);
         let mut bw = g
@@ -212,20 +277,18 @@ fn launch_attempt<W: GpuWorld>(
         } else {
             sys.topo.pcie_p2p.derated(sys.topo.peer_kernel_efficiency)
         };
-        (bw, g.spec.clone(), pcie, sys.topo.pcie_latency)
+        transfer_kernel_time(
+            &g.spec,
+            bw,
+            pcie,
+            sys.topo.pcie_latency,
+            src,
+            dst,
+            gpu,
+            &shape,
+            cfg.descriptor_stream,
+        )
     };
-
-    let duration = transfer_kernel_time(
-        &spec,
-        eff_bw,
-        pcie_bw,
-        pcie_lat,
-        src,
-        dst,
-        gpu,
-        &units,
-        cfg.descriptor_stream,
-    );
     let duration = fault::fault_scaled(sim, FaultOp::KernelLaunch, duration);
     let now = sim.now();
     let (start, end) = sim.world.gpus().stream_mut(stream).reserve(now, duration);
@@ -248,25 +311,20 @@ fn launch_attempt<W: GpuWorld>(
             fault::count_retry(sim, FaultOp::KernelLaunch);
             let delay = backoff.next_delay();
             sim.schedule_in(delay, move |sim| {
-                launch_attempt(sim, stream, src, dst, units, cfg, backoff, done);
+                launch_attempt(sim, stream, src, dst, units, shape, cfg, backoff, done);
             });
             return;
         }
-        let payload: u64 = units.iter().map(|u| u.len as u64).sum();
         sim.world
             .mem()
             .transfer(src, dst, &units)
             .expect("kernel transfer failed");
         sim.trace
-            .count(names::GPUSIM_KERNEL_BYTES, stream.gpu.0, 0, payload);
+            .count(names::GPUSIM_KERNEL_BYTES, stream.gpu.0, 0, shape.payload);
         // Units per launch make the optimizer's coalescing visible in
         // metrics: fewer, larger units at the same byte count.
-        sim.trace.count(
-            names::GPUSIM_KERNEL_UNITS,
-            stream.gpu.0,
-            0,
-            units.len() as u64,
-        );
+        sim.trace
+            .count(names::GPUSIM_KERNEL_UNITS, stream.gpu.0, 0, shape.units);
         sim.trace
             .count(names::GPUSIM_KERNEL_LAUNCHES, stream.gpu.0, 0, 1);
         // Unit buffers cycle back to the scratch shelf so the fragment
@@ -284,6 +342,229 @@ mod tests {
 
     fn spec() -> GpuSpec {
         GpuSpec::k40()
+    }
+
+    /// The per-unit pricing walk the shape pass replaced, kept as the
+    /// oracle: division-based line counting, one traffic walk per
+    /// local side, and the payload summed separately.
+    mod oracle {
+        use super::*;
+
+        pub fn access_lines(disp: u64, len: u64, spec: &GpuSpec) -> u64 {
+            if len == 0 {
+                return 0;
+            }
+            let txn = spec.transaction_bytes;
+            let chunk = spec.warp_chunk();
+            let full_chunks = len / chunk;
+            let phase = disp % txn;
+            let lines_per_full = if phase == 0 {
+                chunk / txn
+            } else {
+                chunk / txn + 1
+            };
+            let mut lines = full_chunks * lines_per_full;
+            let residue = len % chunk;
+            if residue > 0 {
+                let start = disp + full_chunks * chunk;
+                lines += (start + residue - 1) / txn - start / txn + 1;
+            }
+            lines
+        }
+
+        pub fn side_traffic_bytes(
+            units: &[CopyOp],
+            base_off: u64,
+            side_src: bool,
+            spec: &GpuSpec,
+        ) -> u64 {
+            units
+                .iter()
+                .map(|u| {
+                    let off = base_off + if side_src { u.src_off } else { u.dst_off } as u64;
+                    access_lines(off, u.len as u64, spec) * spec.transaction_bytes
+                })
+                .sum()
+        }
+
+        #[allow(clippy::too_many_arguments)]
+        pub fn transfer_kernel_time(
+            spec: &GpuSpec,
+            eff_traffic_bw: Bandwidth,
+            pcie_bw: Bandwidth,
+            pcie_latency: SimTime,
+            src: Ptr,
+            dst: Ptr,
+            exec_gpu: memsim::GpuId,
+            units: &[CopyOp],
+            descriptor_stream: bool,
+        ) -> SimTime {
+            let payload: u64 = units.iter().map(|u| u.len as u64).sum();
+            let src_side = classify(src, exec_gpu);
+            let dst_side = classify(dst, exec_gpu);
+            let mut dram_traffic = if descriptor_stream {
+                units.len() as u64 * spec.descriptor_bytes
+            } else {
+                0
+            };
+            let mut pcie_bytes = 0u64;
+            for (side, is_src, base) in
+                [(src_side, true, src.offset), (dst_side, false, dst.offset)]
+            {
+                match side {
+                    Side::LocalDevice => {
+                        dram_traffic += side_traffic_bytes(units, base, is_src, spec);
+                    }
+                    Side::MappedHost | Side::PeerDevice => pcie_bytes += payload,
+                }
+            }
+            let dram_time = eff_traffic_bw.time_for(dram_traffic);
+            let pcie_time = if pcie_bytes > 0 {
+                pcie_bw.time_for(pcie_bytes) + pcie_latency
+            } else {
+                SimTime::ZERO
+            };
+            spec.launch_overhead + dram_time.max(pcie_time)
+        }
+    }
+
+    /// A random unit list: mostly short units at any phase, some longer
+    /// than a warp chunk, occasionally empty ones.
+    fn random_units(rng: &mut simcore::rng::SimRng) -> Vec<CopyOp> {
+        let n = rng.range(0, 48);
+        (0..n)
+            .map(|_| {
+                let len = match rng.range(0, 10) {
+                    0 => 0,
+                    1..=5 => rng.range(1, 300),
+                    6..=8 => rng.range(256, 5000),
+                    _ => rng.range(5000, 70_000),
+                };
+                CopyOp {
+                    src_off: rng.range(0, 1 << 20),
+                    dst_off: rng.range(0, 1 << 20),
+                    len,
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn shape_pricing_matches_the_per_unit_oracle() {
+        let exec = GpuId(0);
+        let mut rng = simcore::rng::rng(0x5eed_ca11);
+        for arch in crate::arch::GpuArch::registry() {
+            let s = arch.spec();
+            for case in 0..400 {
+                let units = random_units(&mut rng);
+                let ptr = |space: MemSpace, alloc: u64, offset: u64| Ptr {
+                    space,
+                    alloc: memsim::AllocId(alloc),
+                    offset,
+                };
+                let places = [
+                    MemSpace::Device(exec),
+                    MemSpace::Host,
+                    MemSpace::Device(GpuId(1)),
+                ];
+                // At least one side must sit in the executing GPU.
+                let (src_space, dst_space) = match rng.range(0, 5) {
+                    0 => (places[0], places[0]),
+                    1 => (places[0], places[1]),
+                    2 => (places[1], places[0]),
+                    3 => (places[0], places[2]),
+                    _ => (places[2], places[0]),
+                };
+                let src = ptr(src_space, 0, rng.range_u64(0, 4096));
+                let dst = ptr(dst_space, 1, rng.range_u64(0, 4096));
+
+                let shape = kernel_shape(&units, src.offset, dst.offset, &s);
+                assert_eq!(shape.units, units.len() as u64);
+                assert_eq!(
+                    shape.payload,
+                    units.iter().map(|u| u.len as u64).sum::<u64>()
+                );
+                assert_eq!(
+                    shape.src_lines * s.transaction_bytes,
+                    oracle::side_traffic_bytes(&units, src.offset, true, &s),
+                    "{} case {case}: src lines",
+                    arch.name
+                );
+                assert_eq!(
+                    shape.dst_lines * s.transaction_bytes,
+                    oracle::side_traffic_bytes(&units, dst.offset, false, &s),
+                    "{} case {case}: dst lines",
+                    arch.name
+                );
+                for u in &units {
+                    assert_eq!(
+                        access_lines(src.offset + u.src_off as u64, u.len as u64, &s),
+                        oracle::access_lines(src.offset + u.src_off as u64, u.len as u64, &s)
+                    );
+                }
+                let bw = s.dram_traffic_bw.derated(s.pack_kernel_efficiency);
+                let pcie = Bandwidth::from_gbps(10.0);
+                let lat = SimTime::from_micros(2);
+                for descriptor_stream in [true, false] {
+                    assert_eq!(
+                        transfer_kernel_time(
+                            &s,
+                            bw,
+                            pcie,
+                            lat,
+                            src,
+                            dst,
+                            exec,
+                            &shape,
+                            descriptor_stream
+                        ),
+                        oracle::transfer_kernel_time(
+                            &s,
+                            bw,
+                            pcie,
+                            lat,
+                            src,
+                            dst,
+                            exec,
+                            &units,
+                            descriptor_stream
+                        ),
+                        "{} case {case}: kernel time",
+                        arch.name
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "must be powers of two")]
+    fn non_power_of_two_transaction_is_refused() {
+        let s = GpuSpec {
+            transaction_bytes: 96,
+            ..spec()
+        };
+        access_lines(0, 256, &s);
+    }
+
+    #[test]
+    #[should_panic(expected = "chunk a multiple of the transaction size")]
+    fn chunk_smaller_than_transaction_is_refused() {
+        // 32 threads x 2 bytes = a 64-byte chunk under 128-byte lines.
+        let s = GpuSpec {
+            bytes_per_thread: 2,
+            ..spec()
+        };
+        kernel_shape(
+            &[CopyOp {
+                src_off: 0,
+                dst_off: 0,
+                len: 64,
+            }],
+            0,
+            0,
+            &s,
+        );
     }
 
     #[test]
@@ -347,7 +628,7 @@ mod tests {
             d,
             d2,
             gpu,
-            &units,
+            &kernel_shape(&units, 0, 0, &s),
             true,
         );
         let rate = payload as f64 / t.as_secs_f64() / 1e9;
@@ -387,7 +668,7 @@ mod tests {
             d,
             d2,
             gpu,
-            &mk(0),
+            &kernel_shape(&mk(0), 0, 0, &s),
             true,
         );
         let t_misaligned = transfer_kernel_time(
@@ -398,7 +679,7 @@ mod tests {
             d,
             d2,
             gpu,
-            &mk(8),
+            &kernel_shape(&mk(8), 0, 0, &s),
             true,
         );
         let ratio = t_misaligned.as_secs_f64() / t_aligned.as_secs_f64();

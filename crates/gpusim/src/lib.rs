@@ -33,7 +33,9 @@ pub mod system;
 pub use arch::{CostParams, GpuArch};
 pub use copy::{memcpy, memcpy_2d, CopyDirection};
 pub use fault::{count_retry, fault_roll, fault_scaled};
-pub use kernel::{launch_transfer_kernel, transfer_kernel_time, KernelConfig};
+pub use kernel::{
+    kernel_shape, launch_transfer_kernel, transfer_kernel_time, KernelConfig, KernelShape,
+};
 pub use spec::{GpuSpec, Interconnect, NodeTopology};
 pub use stream_trigger::{graph_kernel, replay_issue, GraphCapture, StreamGraph};
 pub use system::{

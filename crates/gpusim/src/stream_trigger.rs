@@ -20,7 +20,7 @@
 //! in the fault-coverage sense (it is listed in the lint's
 //! `CHARGE_WRAPPERS`).
 
-use crate::kernel::transfer_kernel_time;
+use crate::kernel::{kernel_shape, transfer_kernel_time};
 use crate::system::{GpuWorld, StreamId};
 use faultsim::FaultOp;
 use memsim::Ptr;
@@ -198,9 +198,10 @@ pub fn graph_kernel<W: GpuWorld>(
     done: impl FnOnce(&mut Sim<W>, SimTime) + 'static,
 ) {
     let gpu = stream.gpu;
-    let duration = {
+    let (shape, duration) = {
         let sys = sim.world.gpus_ref();
         let g = sys.gpu(gpu);
+        let shape = kernel_shape(&units, src.offset, dst.offset, &g.spec);
         let bw = g
             .effective_traffic_bw()
             .derated(g.spec.pack_kernel_efficiency);
@@ -209,7 +210,7 @@ pub fn graph_kernel<W: GpuWorld>(
         } else {
             sys.topo.pcie_p2p.derated(sys.topo.peer_kernel_efficiency)
         };
-        transfer_kernel_time(
+        let duration = transfer_kernel_time(
             &g.spec,
             bw,
             pcie,
@@ -217,9 +218,10 @@ pub fn graph_kernel<W: GpuWorld>(
             src,
             dst,
             gpu,
-            &units,
+            &shape,
             true,
-        ) - g.spec.launch_overhead
+        ) - g.spec.launch_overhead;
+        (shape, duration)
     };
     let duration = crate::fault::fault_scaled(sim, FaultOp::KernelLaunch, duration);
     let now = sim.now();
@@ -235,19 +237,14 @@ pub fn graph_kernel<W: GpuWorld>(
         },
     );
     sim.schedule_at(end, move |sim| {
-        let payload: u64 = units.iter().map(|u| u.len as u64).sum();
         sim.world
             .mem()
             .transfer(src, dst, &units)
             .expect("graph kernel transfer failed");
         sim.trace
-            .count(names::GPUSIM_KERNEL_BYTES, stream.gpu.0, 0, payload);
-        sim.trace.count(
-            names::GPUSIM_KERNEL_UNITS,
-            stream.gpu.0,
-            0,
-            units.len() as u64,
-        );
+            .count(names::GPUSIM_KERNEL_BYTES, stream.gpu.0, 0, shape.payload);
+        sim.trace
+            .count(names::GPUSIM_KERNEL_UNITS, stream.gpu.0, 0, shape.units);
         simcore::scratch::recycle_units_buf(units);
         done(sim, sim.now());
     });

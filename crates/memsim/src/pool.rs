@@ -278,16 +278,12 @@ impl Memory {
             src.space != dst.space || src.alloc != dst.alloc,
             "transfer within one allocation is not supported (pack buffers are dedicated)"
         );
-        let src_need = ops
-            .iter()
-            .map(|o| (o.src_off + o.len) as u64)
-            .max()
-            .unwrap_or(0);
-        let dst_need = ops
-            .iter()
-            .map(|o| (o.dst_off + o.len) as u64)
-            .max()
-            .unwrap_or(0);
+        let (src_need, dst_need) = ops.iter().fold((0u64, 0u64), |(s, d), o| {
+            (
+                s.max((o.src_off + o.len) as u64),
+                d.max((o.dst_off + o.len) as u64),
+            )
+        });
         self.pool(src.space).check_range(src, src_need)?;
         self.pool(dst.space).check_range(dst, dst_need)?;
         let src_raw = self.pool(src.space).allocs[&src.alloc][src.offset as usize..].as_ptr();

@@ -14,8 +14,7 @@
 //! parallel threshold and lives for the process. Workers block on
 //! channels and are woken only when a sharded copy arrives, so the hot
 //! data path never spawns OS threads (the pre-pool `std::thread::scope`
-//! implementation paid a spawn+join for *every* large simulated kernel —
-//! it is preserved in [`scoped`] for wall-clock comparison benchmarks).
+//! implementation paid a spawn+join for *every* large simulated kernel).
 //!
 //! Pool size defaults to `min(available_parallelism, 8)` and can be
 //! overridden with the `GPU_DDT_COPY_THREADS` environment variable
@@ -345,6 +344,23 @@ fn assert_dst_disjoint(ops: &[CopyOp]) {
     }
 }
 
+/// Total bytes `ops` move, with the bounds check folded into the same
+/// scan: the scan tracks both sides' furthest byte, and only when one
+/// overruns does [`assert_in_bounds`] walk again to name the first
+/// offending op.
+fn checked_total(dst: &[u8], src: &[u8], ops: &[CopyOp]) -> usize {
+    let (mut total, mut src_end, mut dst_end) = (0usize, 0usize, 0usize);
+    for o in ops {
+        total += o.len;
+        src_end = src_end.max(o.src_off + o.len);
+        dst_end = dst_end.max(o.dst_off + o.len);
+    }
+    if src_end > src.len() || dst_end > dst.len() {
+        assert_in_bounds(dst, src, ops);
+    }
+    total
+}
+
 fn assert_in_bounds(dst: &[u8], src: &[u8], ops: &[CopyOp]) {
     for o in ops {
         assert!(
@@ -428,7 +444,7 @@ fn partition_runs(
 /// (overlap in `src` is fine — a broadcast-style unpack may read the same
 /// source bytes twice).
 pub fn par_transfer(dst: &mut [u8], src: &[u8], ops: &[CopyOp]) {
-    let total: usize = ops.iter().map(|o| o.len).sum();
+    let total = checked_total(dst, src, ops);
     let n = lanes_for(total);
     transfer_with(dst, src, ops, total, n);
 }
@@ -440,20 +456,20 @@ pub fn par_transfer(dst: &mut [u8], src: &[u8], ops: &[CopyOp]) {
 /// hot-path API: the adaptive `par_transfer` sizing is the production
 /// path.
 pub fn par_transfer_lanes(dst: &mut [u8], src: &[u8], ops: &[CopyOp], lanes: usize) -> usize {
-    let total: usize = ops.iter().map(|o| o.len).sum();
+    let total = checked_total(dst, src, ops);
     let n = lanes.clamp(1, pool().info.threads);
     transfer_with(dst, src, ops, total, n);
     n
 }
 
+/// Bounds must already be checked ([`checked_total`]).
 fn transfer_with(dst: &mut [u8], src: &[u8], ops: &[CopyOp], total: usize, n: usize) {
-    assert_in_bounds(dst, src, ops);
     #[cfg(debug_assertions)]
     assert_dst_disjoint(ops);
 
     if n <= 1 {
         // Inline path: same chunked segment copies the workers use.
-        // SAFETY: bounds asserted above; a single thread writes dst.
+        // SAFETY: bounds checked by the caller; a single thread writes dst.
         unsafe { copy_ops_raw(dst.as_mut_ptr(), src.as_ptr(), ops) };
         return;
     }
@@ -479,85 +495,8 @@ fn transfer_with(dst: &mut [u8], src: &[u8], ops: &[CopyOp], total: usize, n: us
     run_sharded(dst, src, &shards[..runs]);
 }
 
-pub mod scoped {
-    //! The pre-pool implementation: spawn scoped threads per call. Kept
-    //! as the wall-clock baseline the persistent pool is measured
-    //! against (`cargo bench -p bench`, `hotpath_wallclock`) and as an
-    //! independent correctness cross-check. Not used on the hot path.
-
-    use super::{assert_in_bounds, lanes_for, CopyOp, MAX_POOL_THREADS};
-
-    /// [`super::par_copy`] via `std::thread::scope` — spawns threads on
-    /// every call.
-    pub fn par_copy_scoped(dst: &mut [u8], src: &[u8]) {
-        assert_eq!(dst.len(), src.len(), "par_copy length mismatch");
-        let n = lanes_for(dst.len());
-        if n <= 1 {
-            dst.copy_from_slice(src);
-            return;
-        }
-        let chunk = dst.len().div_ceil(n);
-        std::thread::scope(|scope| {
-            for (d, s) in dst.chunks_mut(chunk).zip(src.chunks(chunk)) {
-                scope.spawn(move || d.copy_from_slice(s));
-            }
-        });
-    }
-
-    /// Raw pointer wrapper so disjoint destination writes can cross the
-    /// `std::thread::scope` boundary.
-    #[derive(Clone, Copy)]
-    struct SendPtr(*mut u8);
-    // SAFETY: every thread writes a disjoint destination range, so
-    // concurrent use is data-race free.
-    unsafe impl Send for SendPtr {}
-    unsafe impl Sync for SendPtr {}
-
-    /// [`super::par_transfer`] via `std::thread::scope` — spawns threads
-    /// on every call.
-    pub fn par_transfer_scoped(dst: &mut [u8], src: &[u8], ops: &[CopyOp]) {
-        let total: usize = ops.iter().map(|o| o.len).sum();
-        assert_in_bounds(dst, src, ops);
-        #[cfg(debug_assertions)]
-        super::assert_dst_disjoint(ops);
-
-        let n = lanes_for(total);
-        if n <= 1 || ops.len() == 1 {
-            for o in ops {
-                dst[o.dst_off..o.dst_off + o.len]
-                    .copy_from_slice(&src[o.src_off..o.src_off + o.len]);
-            }
-            return;
-        }
-
-        let mut bounds = [(0usize, 0usize); MAX_POOL_THREADS];
-        let runs = super::partition_runs(ops, total, n, &mut bounds);
-        let dst_ptr = SendPtr(dst.as_mut_ptr());
-        std::thread::scope(|scope| {
-            for &(s, e) in &bounds[..runs] {
-                let run = &ops[s..e];
-                scope.spawn(move || {
-                    let dst_ptr = dst_ptr; // move the Copy wrapper into the thread
-                    for o in run {
-                        // SAFETY: bounds were checked above; destination
-                        // ranges are disjoint across all ops.
-                        unsafe {
-                            std::ptr::copy_nonoverlapping(
-                                src.as_ptr().add(o.src_off),
-                                dst_ptr.0.add(o.dst_off),
-                                o.len,
-                            );
-                        }
-                    }
-                });
-            }
-        });
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::scoped::{par_copy_scoped, par_transfer_scoped};
     use super::*;
 
     #[test]
@@ -633,25 +572,6 @@ mod tests {
     }
 
     #[test]
-    fn pooled_and_scoped_agree() {
-        // Same inputs through the pool and the scoped baseline.
-        let (seg, count) = (2048usize, 700usize); // ~1.4 MB
-        let (src, ops) = gather_case(seg, count);
-        let mut pooled = vec![0u8; seg * count];
-        let mut scoped = vec![0u8; seg * count];
-        par_transfer(&mut pooled, &src, &ops);
-        par_transfer_scoped(&mut scoped, &src, &ops);
-        assert_eq!(pooled, scoped);
-
-        let big: Vec<u8> = (0..(1 << 21)).map(|i| (i % 241) as u8).collect();
-        let mut a = vec![0u8; big.len()];
-        let mut b = vec![0u8; big.len()];
-        par_copy(&mut a, &big);
-        par_copy_scoped(&mut b, &big);
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn pool_survives_repeated_large_transfers() {
         // Exercise the persistent workers across many calls (the
         // regression the pool exists for: no spawn per call, no leaked
@@ -671,20 +591,63 @@ mod tests {
 
     #[test]
     fn transfer_rejects_oob() {
-        let src = vec![0u8; 16];
-        let mut dst = vec![0u8; 16];
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            par_transfer(
-                &mut dst,
-                &src,
-                &[CopyOp {
+        // Source-only, destination-only and both-sides overruns, alone
+        // and behind in-bounds ops, each through the inline and the
+        // explicit-lane entry points: the fused bounds scan must still
+        // panic on every one, naming the offending side.
+        let ok = CopyOp {
+            src_off: 0,
+            dst_off: 0,
+            len: 4,
+        };
+        let cases = [
+            (
+                CopyOp {
                     src_off: 10,
                     dst_off: 0,
                     len: 10,
-                }],
-            );
-        }));
-        assert!(r.is_err(), "out-of-bounds op must panic");
+                },
+                "source segment out of bounds",
+            ),
+            (
+                CopyOp {
+                    src_off: 0,
+                    dst_off: 10,
+                    len: 10,
+                },
+                "destination segment out of bounds",
+            ),
+            (
+                CopyOp {
+                    src_off: 12,
+                    dst_off: 12,
+                    len: 5,
+                },
+                "source segment out of bounds",
+            ),
+        ];
+        for (bad, expect) in cases {
+            for ops in [vec![bad], vec![ok, bad]] {
+                for lanes in [None, Some(2)] {
+                    let src = vec![7u8; 16];
+                    let mut dst = vec![0u8; 16];
+                    let r =
+                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match lanes {
+                            None => par_transfer(&mut dst, &src, &ops),
+                            Some(n) => {
+                                par_transfer_lanes(&mut dst, &src, &ops, n);
+                            }
+                        }));
+                    let err = r.expect_err("out-of-bounds op must panic");
+                    let msg = err
+                        .downcast_ref::<String>()
+                        .map(String::as_str)
+                        .unwrap_or_default();
+                    assert!(msg.starts_with(expect), "{ops:?}: {msg}");
+                    assert_eq!(dst, vec![0u8; 16], "{ops:?}: nothing copied");
+                }
+            }
+        }
     }
 
     #[test]
