@@ -6,7 +6,7 @@ use crate::config::EngineConfig;
 use crate::dev::{DevCursor, DevPlan};
 use crate::tune;
 use datatype::{DataType, Strided2D, TypeError};
-use gpusim::{launch_transfer_kernel, GpuWorld, KernelConfig, StreamId};
+use gpusim::{launch_transfer_kernel, GpuWorld, KernelConfig, KernelRates, Placement, StreamId};
 use memsim::Ptr;
 use simcore::par::CopyOp;
 use simcore::trace::names;
@@ -168,20 +168,16 @@ impl FragmentEngine {
         // so there is nothing to tune; otherwise evaluate the analytic
         // per-unit cost over the paper's candidate sizes.
         let segments = work_ty.segment_estimate().saturating_mul(count).max(1);
+        // The launch rates the tuners price kernels at (the packed side
+        // is assumed in-device).
+        let rates = KernelRates::of(
+            sim.world.gpus_ref(),
+            stream.gpu,
+            Placement::Local,
+            cfg.blocks,
+        );
         let unit_size = if opt.autotune && !opt.coalesce {
-            let g = sim.world.gpus_ref().gpu(stream.gpu);
-            let bw = g
-                .effective_traffic_bw()
-                .derated(g.spec.pack_kernel_efficiency)
-                .as_gbps(); // bytes per nanosecond
-            let desc_ns = g.spec.descriptor_bytes as f64 / bw;
-            let picked = tune::pick_unit_size(
-                cfg.unit_size,
-                total,
-                segments,
-                cfg.prep_per_unit.as_nanos() as f64,
-                desc_ns,
-            );
+            let picked = tune::pick_unit_size(&cfg, &rates, total, segments);
             if picked != cfg.unit_size {
                 sim.trace
                     .count(names::OPTIMIZER_UNIT_TUNED, rank as u32, 0, 1);
@@ -244,33 +240,18 @@ impl FragmentEngine {
 
         // Pipeline-granularity tuning for streaming sources: weigh the
         // CPU preparation that pipelining hides against the extra kernel
-        // launches it costs, using the same constants the simulator
+        // launches it costs, priced by the same functions the simulator
         // charges.
         let mut chunk_hint = None;
         if opt.autotune && cfg.pipeline && total > 0 {
             if let UnitSource::Fresh(_) = source {
-                let g = sim.world.gpus_ref().gpu(stream.gpu);
-                let bw = g
-                    .effective_traffic_bw()
-                    .derated(g.spec.pack_kernel_efficiency)
-                    .as_gbps();
                 let units = if opt.coalesce {
-                    segments as f64
+                    segments
                 } else {
-                    segments as f64 + total as f64 / unit_size as f64
+                    segments + total / unit_size
                 };
-                // D2D pack traffic: payload read + write, plus the
-                // descriptor each unit streams from DRAM.
-                let traffic_per_byte = 2.0 + g.spec.descriptor_bytes as f64 * units / total as f64;
-                let m = tune::ChunkModel {
-                    total,
-                    units_per_byte: units / total as f64,
-                    prep_call_ns: cfg.prep_call.as_nanos() as f64,
-                    prep_per_unit_ns: cfg.prep_per_unit.as_nanos() as f64,
-                    launch_ns: g.spec.launch_overhead.as_nanos() as f64,
-                    kernel_ns_per_byte: traffic_per_byte / bw,
-                };
-                let picked = tune::pick_pipeline_chunk(&m, cfg.pipeline_chunk);
+                let picked =
+                    tune::pick_pipeline_chunk(&cfg, &rates, tune::Shatter { units, total });
                 if picked != cfg.pipeline_chunk {
                     sim.trace
                         .count(names::OPTIMIZER_CHUNK_TUNED, rank as u32, 0, 1);
@@ -500,7 +481,9 @@ fn oriented(dir: Direction, typed: usize, packed: usize, len: usize) -> CopyOp {
     }
 }
 
-fn prep_time(cfg: &EngineConfig, units: usize) -> SimTime {
+/// CPU time one preparation batch of `units` CUDA-DEV units costs: the
+/// charge every streaming fragment and cache miss pays.
+pub fn prep_time(cfg: &EngineConfig, units: usize) -> SimTime {
     SimTime::from_nanos(cfg.prep_per_unit.as_nanos() * units as u64) + cfg.prep_call
 }
 

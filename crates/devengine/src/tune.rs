@@ -1,27 +1,80 @@
-//! The analytic auto-tuner: evaluates the gpusim/netsim cost model in
-//! closed form (no simulation runs) to pick work-unit size, pipeline
-//! granularity, fragment size and ring depth per datatype layout.
+//! The analytic auto-tuner: picks work-unit size, pipeline granularity,
+//! fragment size and ring depth per datatype layout in closed form (no
+//! simulation runs).
 //!
-//! The model is deliberately the same arithmetic the simulator charges —
-//! fixed per-stage overheads (kernel launch, preparation call, message
-//! latency) plus a per-byte rate per stage — folded into a bounded-buffer
-//! pipeline makespan. Every picker includes the static default among its
-//! candidates and only deviates when the model predicts a win beyond a
-//! safety margin, so a tuned run is never *predicted* worse than the
-//! default; the `ablation_optimizer` bench asserts the simulated times
-//! agree.
+//! There is one cost model, and it is the simulator's. A [`Stage`]
+//! prices one fragment by calling the function the simulator charges
+//! for that work — [`gpusim::KernelRates`] for kernels,
+//! [`gpusim::contiguous_copy_time`] for staging copies, [`prep_time`]
+//! for CPU DEV preparation, link and NIC functions from `netsim` for the
+//! wire — in integer nanoseconds, at the fragment sizes the pipeline
+//! composition asks for. This module owns only that composition
+//! ([`pipeline_makespan_ns`]) and the pickers built on it. Every picker
+//! includes the static default among its candidates and only deviates
+//! when the model predicts a win beyond a safety margin, so a tuned run
+//! is never *predicted* worse than the default; the `ablation_optimizer`
+//! bench asserts the simulated times agree.
 
-/// One pipeline stage: `fixed_ns + ns_per_byte * bytes`.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Stage {
-    pub fixed_ns: f64,
-    pub ns_per_byte: f64,
+use crate::config::EngineConfig;
+use crate::engine::prep_time;
+use gpusim::{KernelRates, KernelShape, Placement};
+use simcore::{Bandwidth, SimTime};
+
+/// One pipeline stage: the time one fragment of a given byte size spends
+/// in it, priced by a simulator charge function.
+pub struct Stage<'a>(Box<dyn Fn(u64) -> SimTime + 'a>);
+
+impl<'a> Stage<'a> {
+    /// A stage priced by `price(fragment_bytes)`.
+    pub fn new(price: impl Fn(u64) -> SimTime + 'a) -> Stage<'a> {
+        Stage(Box::new(price))
+    }
+
+    /// A fixed per-fragment cost: an active message, a doorbell re-arm.
+    pub fn fixed(t: SimTime) -> Stage<'a> {
+        Stage::new(move |_| t)
+    }
+
+    /// A contiguous leg at `bw` plus a fixed `latency`: the wire, the
+    /// CPU convertor.
+    pub fn leg(bw: Bandwidth, latency: SimTime) -> Stage<'a> {
+        Stage::new(move |b| bw.time_for(b) + latency)
+    }
+
+    /// Nanoseconds one `bytes`-sized fragment spends in this stage.
+    pub fn time_ns(&self, bytes: u64) -> u64 {
+        (self.0)(bytes).as_nanos()
+    }
 }
 
-impl Stage {
-    pub fn time_ns(&self, bytes: u64) -> f64 {
-        self.fixed_ns + self.ns_per_byte * bytes as f64
+/// How a layout shatters into work units: `units` units over `total`
+/// packed bytes, spread evenly over the fragments.
+#[derive(Clone, Copy, Debug)]
+pub struct Shatter {
+    pub units: u64,
+    pub total: u64,
+}
+
+impl Shatter {
+    /// Units in a `bytes`-sized fragment, pro rata.
+    pub fn units_in(&self, bytes: u64) -> u64 {
+        (self.units as f64 * bytes as f64 / self.total.max(1) as f64).round() as u64
     }
+}
+
+/// Launched time of a transfer kernel over one `bytes`-sized fragment of
+/// a layout that shatters as `shatter`, typed side in the executing
+/// GPU's DRAM and packed side at `far`: the fragment's shape estimate
+/// ([`KernelShape::estimate`]) priced at `rates`.
+pub fn fragment_kernel_time(
+    rates: &KernelRates,
+    far: Placement,
+    shatter: Shatter,
+    descriptors: bool,
+    bytes: u64,
+) -> SimTime {
+    let shape = KernelShape::estimate(shatter.units_in(bytes), bytes, rates);
+    rates.time(&shape, Placement::Local, far, descriptors)
 }
 
 /// Makespan estimate for `total` bytes moved through `stages` in
@@ -37,9 +90,10 @@ pub fn pipeline_makespan_ns(total: u64, frag: u64, depth: usize, stages: &[Stage
     let total = total.max(1);
     let first = frag.min(total);
     let nf = total.div_ceil(first);
-    let fill = |b: u64| stages.iter().map(|s| s.time_ns(b)).sum::<f64>();
+    let times = |b: u64| stages.iter().map(move |s| s.time_ns(b) as f64);
+    let fill = |b: u64| times(b).sum::<f64>();
     let per_round = |b: u64| {
-        let bottleneck = stages.iter().map(|s| s.time_ns(b)).fold(0.0f64, f64::max);
+        let bottleneck = times(b).fold(0.0f64, f64::max);
         bottleneck.max(fill(b) / depth as f64)
     };
     let tail = total - (nf - 1) * first;
@@ -53,22 +107,21 @@ pub fn pipeline_makespan_ns(total: u64, frag: u64, depth: usize, stages: &[Stage
 /// Work-unit candidates from §3.2 (the paper sweeps S ∈ {1, 2, 4} KB).
 pub const UNIT_CANDIDATES: [u64; 3] = [1024, 2048, 4096];
 
-/// Pick the work-unit size S for the generic DEV path: cost per unit is
-/// the CPU preparation charge plus the 32-byte descriptor each unit
-/// streams from DRAM, and a layout with `segments` contiguous runs
-/// totalling `total` bytes shatters into about `segments + total / S`
-/// units. The static `base` is always a candidate and wins ties.
-pub fn pick_unit_size(
-    base: u64,
-    total: u64,
-    segments: u64,
-    prep_per_unit_ns: f64,
-    desc_ns_per_unit: f64,
-) -> u64 {
-    let units = |s: u64| segments as f64 + total as f64 / s.max(1) as f64;
-    let cost = |s: u64| units(s) * (prep_per_unit_ns + desc_ns_per_unit);
-    let mut best = base;
-    let mut best_cost = cost(base);
+/// Pick the work-unit size S for the generic DEV path: a layout with
+/// `segments` contiguous runs totalling `total` bytes shatters into
+/// about `segments + total / S` units, and each unit costs its CPU
+/// preparation plus its descriptor and partial lines in the kernel
+/// (`rates`, both sides local). The static `cfg.unit_size` is always a
+/// candidate and wins ties.
+pub fn pick_unit_size(cfg: &EngineConfig, rates: &KernelRates, total: u64, segments: u64) -> u64 {
+    let cost = |s: u64| {
+        let units = segments + total / s.max(1);
+        let shatter = Shatter { units, total };
+        prep_time(cfg, units as usize)
+            + fragment_kernel_time(rates, Placement::Local, shatter, true, total)
+    };
+    let mut best = cfg.unit_size;
+    let mut best_cost = cost(best);
     for cand in UNIT_CANDIDATES {
         let c = cost(cand);
         if c < best_cost {
@@ -79,48 +132,24 @@ pub fn pick_unit_size(
     best
 }
 
-/// Inputs to the engine-level pipeline-granularity decision.
-#[derive(Clone, Copy, Debug)]
-pub struct ChunkModel {
-    /// Total packed bytes of the job.
-    pub total: u64,
-    /// Estimated work units per packed byte (layout shatter factor).
-    pub units_per_byte: f64,
-    /// Fixed CPU cost per preparation batch.
-    pub prep_call_ns: f64,
-    /// CPU cost per work unit prepared.
-    pub prep_per_unit_ns: f64,
-    /// Kernel launch overhead.
-    pub launch_ns: f64,
-    /// Kernel time per payload byte (traffic factor over effective
-    /// bandwidth, descriptors included).
-    pub kernel_ns_per_byte: f64,
-}
-
 /// Only deviate from the default when the model predicts at least this
 /// much improvement (guards against model/simulator disagreement).
 const CHUNK_MARGIN: f64 = 0.97;
 
-/// Pick the CPU→kernel pipeline chunk for a streaming (Fresh) job. With
-/// cheap preparation the per-chunk kernel launch dominates and a single
-/// launch wins; with expensive preparation overlapping chunks win — the
-/// two-stage makespan model decides, with the configured default always
-/// a candidate.
-pub fn pick_pipeline_chunk(m: &ChunkModel, default_chunk: u64) -> u64 {
-    let model = |chunk: u64| -> f64 {
-        let stages = [
-            Stage {
-                fixed_ns: m.prep_call_ns,
-                ns_per_byte: m.prep_per_unit_ns * m.units_per_byte,
-            },
-            Stage {
-                fixed_ns: m.launch_ns,
-                ns_per_byte: m.kernel_ns_per_byte,
-            },
-        ];
-        // Depth 2: the CPU prepares one chunk ahead of the kernel.
-        pipeline_makespan_ns(m.total, chunk, 2, &stages)
-    };
+/// Pick the CPU→kernel pipeline chunk for a streaming (Fresh) job of a
+/// layout that shatters as `shatter`. With cheap preparation the
+/// per-chunk kernel launch dominates and a single launch wins; with
+/// expensive preparation overlapping chunks win — the two-stage makespan
+/// of [`prep_time`] against an in-device kernel at `rates` decides, with
+/// the configured `cfg.pipeline_chunk` always a candidate.
+pub fn pick_pipeline_chunk(cfg: &EngineConfig, rates: &KernelRates, shatter: Shatter) -> u64 {
+    let stages = [
+        Stage::new(|b| prep_time(cfg, shatter.units_in(b) as usize)),
+        Stage::new(|b| fragment_kernel_time(rates, Placement::Local, shatter, true, b)),
+    ];
+    // Depth 2: the CPU prepares one chunk ahead of the kernel.
+    let model = |chunk: u64| pipeline_makespan_ns(shatter.total, chunk, 2, &stages);
+    let default_chunk = cfg.pipeline_chunk;
     let default_cost = model(default_chunk);
     let mut best = default_chunk;
     let mut best_cost = default_cost;
@@ -190,37 +219,33 @@ pub fn pick_fragment(total: u64, frag0: u64, depth0: usize, stages: &[Stage]) ->
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gpusim::GpuSystem;
+    use memsim::GpuId;
+
+    /// A stage of `fixed_ns` plus `ns_per_byte` per byte.
+    fn linear(fixed_ns: u64, ns_per_byte: f64) -> Stage<'static> {
+        Stage::leg(
+            Bandwidth::from_bytes_per_sec(1e9 / ns_per_byte),
+            SimTime::from_nanos(fixed_ns),
+        )
+    }
+
+    fn k40_rates() -> KernelRates {
+        KernelRates::of(&GpuSystem::k40_node(1), GpuId(0), Placement::Local, None)
+    }
 
     #[test]
     fn makespan_reduces_to_serial_for_one_fragment() {
-        let stages = [
-            Stage {
-                fixed_ns: 1000.0,
-                ns_per_byte: 1.0,
-            },
-            Stage {
-                fixed_ns: 6000.0,
-                ns_per_byte: 0.5,
-            },
-        ];
+        let stages = [linear(1000, 1.0), linear(6000, 0.5)];
         let total = 1 << 20;
         let serial = pipeline_makespan_ns(total, u64::MAX, 2, &stages);
-        let expect: f64 = stages.iter().map(|s| s.time_ns(total)).sum();
-        assert!((serial - expect).abs() < 1e-6);
+        let expect: u64 = stages.iter().map(|s| s.time_ns(total)).sum();
+        assert_eq!(serial, expect as f64);
     }
 
     #[test]
     fn makespan_pipelining_approaches_bottleneck() {
-        let stages = [
-            Stage {
-                fixed_ns: 0.0,
-                ns_per_byte: 1.0,
-            },
-            Stage {
-                fixed_ns: 0.0,
-                ns_per_byte: 1.0,
-            },
-        ];
+        let stages = [linear(0, 1.0), linear(0, 1.0)];
         let total = 1u64 << 20;
         let piped = pipeline_makespan_ns(total, 1 << 14, 4, &stages);
         // 64 fragments: ~total * 1 ns/B bottleneck, not 2x (the serial sum).
@@ -229,49 +254,82 @@ mod tests {
     }
 
     #[test]
+    fn shatter_spreads_units_pro_rata() {
+        let sh = Shatter {
+            units: 1000,
+            total: 1 << 20,
+        };
+        assert_eq!(sh.units_in(1 << 20), 1000);
+        assert_eq!(sh.units_in(1 << 19), 500);
+        assert_eq!(sh.units_in(0), 0);
+    }
+
+    #[test]
+    fn fragment_kernel_prices_the_estimated_shape() {
+        // The stage is the launch charge of the fragment's estimated
+        // shape, with the units spread pro rata.
+        let sys = GpuSystem::k40_node(1);
+        let local = KernelRates::of(&sys, GpuId(0), Placement::Local, None);
+        let sh = Shatter {
+            units: 64,
+            total: 1 << 20,
+        };
+        let shape = KernelShape::estimate(32, 1 << 19, &local);
+        assert_eq!(
+            fragment_kernel_time(&local, Placement::Local, sh, true, 1 << 19),
+            local.time(&shape, Placement::Local, Placement::Local, true)
+        );
+        // The off-GPU side rides PCIe: a mapped-host fragment is slower.
+        let host = KernelRates::of(&sys, GpuId(0), Placement::MappedHost, None);
+        assert!(
+            fragment_kernel_time(&host, Placement::MappedHost, sh, true, 1 << 19)
+                > fragment_kernel_time(&local, Placement::Local, sh, true, 1 << 19)
+        );
+    }
+
+    #[test]
     fn unit_size_prefers_fewer_units() {
         // Monotone model: the largest candidate wins for any shattered
         // layout; an explicitly larger base survives as the incumbent.
-        assert_eq!(pick_unit_size(1024, 1 << 20, 1000, 12.0, 0.1), 4096);
-        assert_eq!(pick_unit_size(8192, 1 << 20, 1000, 12.0, 0.1), 8192);
+        let rates = k40_rates();
+        let cfg = EngineConfig::default();
+        assert_eq!(pick_unit_size(&cfg, &rates, 1 << 20, 1000), 4096);
+        let big = EngineConfig {
+            unit_size: 8192,
+            pipeline_chunk: 1 << 20,
+            ..EngineConfig::default()
+        };
+        assert_eq!(pick_unit_size(&big, &rates, 1 << 20, 1000), 8192);
     }
 
     #[test]
     fn chunk_collapses_to_single_kernel_when_prep_is_cheap() {
         // Coalesced triangular: ~2k units over 17 MB, launch 6 us.
-        let m = ChunkModel {
+        let sh = Shatter {
+            units: 2048,
             total: 17 << 20,
-            units_per_byte: 2048.0 / (17 << 20) as f64,
-            prep_call_ns: 1000.0,
-            prep_per_unit_ns: 12.0,
-            launch_ns: 6000.0,
-            kernel_ns_per_byte: 2.0 / 338.0, // ~2B traffic/B at ~338 GB/s
         };
-        assert_eq!(pick_pipeline_chunk(&m, 1 << 20), u64::MAX);
+        let cfg = EngineConfig::default();
+        assert_eq!(pick_pipeline_chunk(&cfg, &k40_rates(), sh), u64::MAX);
     }
 
     #[test]
     fn chunk_keeps_pipelining_when_prep_dominates() {
-        // Unsplit 1 KB units: ~17k units of prep vs ~100 us of kernel.
-        let m = ChunkModel {
+        // 256-byte units: ~70k units of prep (~0.8 ms) vs ~0.2 ms of
+        // kernel, so overlapping chunks hide most of the kernel time.
+        let sh = Shatter {
+            units: (17 << 20) / 256,
             total: 17 << 20,
-            units_per_byte: 1.0 / 1024.0,
-            prep_call_ns: 1000.0,
-            prep_per_unit_ns: 12.0,
-            launch_ns: 6000.0,
-            kernel_ns_per_byte: 2.0 / 338.0,
         };
-        assert_eq!(pick_pipeline_chunk(&m, 1 << 20), 1 << 20);
+        let cfg = EngineConfig::default();
+        assert_eq!(pick_pipeline_chunk(&cfg, &k40_rates(), sh), 1 << 20);
     }
 
     #[test]
     fn fragment_default_always_competes() {
         // A pipe dominated by per-fragment fixed cost: shrinking can
         // only hurt, the default must survive.
-        let stages = [Stage {
-            fixed_ns: 100_000.0,
-            ns_per_byte: 0.01,
-        }];
+        let stages = [linear(100_000, 0.01)];
         let (f, d) = pick_fragment(8 << 20, 512 << 10, 4, &stages);
         assert_eq!((f, d), (512 << 10, 4));
     }
@@ -280,20 +338,7 @@ mod tests {
     fn fragment_shrinks_when_fill_dominates() {
         // Four fragments of a 2 MB message through a deep per-byte pipe:
         // halving the fragment shortens the fill ramp.
-        let stages = [
-            Stage {
-                fixed_ns: 100.0,
-                ns_per_byte: 1.0,
-            },
-            Stage {
-                fixed_ns: 100.0,
-                ns_per_byte: 1.0,
-            },
-            Stage {
-                fixed_ns: 100.0,
-                ns_per_byte: 1.0,
-            },
-        ];
+        let stages = [linear(100, 1.0), linear(100, 1.0), linear(100, 1.0)];
         let (f, _) = pick_fragment(2 << 20, 512 << 10, 4, &stages);
         assert!(f < 512 << 10, "expected a shorter ramp, kept {f}");
         assert!(f >= MIN_FRAG);
@@ -302,20 +347,7 @@ mod tests {
     #[test]
     fn fragment_keeps_default_when_message_barely_fragments() {
         // One or two fragments: no steady state to model, never split.
-        let stages = [
-            Stage {
-                fixed_ns: 100.0,
-                ns_per_byte: 1.0,
-            },
-            Stage {
-                fixed_ns: 100.0,
-                ns_per_byte: 1.0,
-            },
-            Stage {
-                fixed_ns: 100.0,
-                ns_per_byte: 1.0,
-            },
-        ];
+        let stages = [linear(100, 1.0), linear(100, 1.0), linear(100, 1.0)];
         for total in [256u64 << 10, 1 << 20] {
             let (f, d) = pick_fragment(total, 512 << 10, 4, &stages);
             assert_eq!((f, d), (512 << 10, 4));

@@ -1,14 +1,13 @@
 //! The multi-architecture GPU backend registry.
 //!
 //! One [`GpuArch`] entry per supported part ties together the raw
-//! calibration constants from [`crate::spec`] (the "memory manager"
-//! layer: what the hardware is), a node topology (how GPUs in a node
-//! peer), and a lazily-cached [`CostParams`] table of derived kernel
-//! cost parameters (the "kernel manager" layer: what the analytic
-//! tuners and harnesses actually consume). Execution — streams, kernels
-//! and copies in [`crate::system`]/[`crate::kernel`] — reads whichever
-//! spec the world was built with, so selecting an architecture at
-//! session-build time re-parameterizes every layer above.
+//! calibration constants from [`crate::spec`] (what the hardware is)
+//! and a node topology (how GPUs in a node peer). Execution — streams,
+//! kernels and copies in [`crate::system`]/[`crate::kernel`] — and the
+//! analytic tuners, which price through the same charge functions, read
+//! whichever spec the world was built with, so selecting an
+//! architecture at session-build time re-parameterizes every layer
+//! above.
 //!
 //! Lookup is by short slug (`"k40"`, `"a100"`) or alias, case
 //! insensitive. The registry default is the paper's K40 testbed: with
@@ -16,36 +15,9 @@
 //! committed `results/` CSVs byte-identically.
 
 use crate::spec::{GpuSpec, NodeTopology};
-use std::sync::OnceLock;
-
-/// Derived per-architecture cost parameters, computed once per process
-/// from the spec/topology constructors and cached. These are the
-/// numbers the analytic models and harness headers want pre-folded —
-/// deriving them at every decision point would re-do the same float
-/// arithmetic thousands of times per sweep.
-#[derive(Clone, Copy, Debug)]
-pub struct CostParams {
-    /// Kernel launch overhead, ns.
-    pub launch_ns: f64,
-    /// Fixed `cudaMemcpy` cost (driver + one PCIe transaction), ns.
-    pub memcpy_fixed_ns: f64,
-    /// DRAM traffic cost of a full-occupancy pack kernel, ns per
-    /// traffic byte (efficiency derate included).
-    pub pack_nspb: f64,
-    /// Practical peak in-device copy rate, GB/s (the Figure 6 ceiling).
-    pub peak_copy_gbps: f64,
-    /// Peer-to-peer (GPU↔GPU) bandwidth, GB/s.
-    pub p2p_gbps: f64,
-    /// Host↔device bandwidth, GB/s.
-    pub h2d_gbps: f64,
-    /// Bytes one warp moves per iteration.
-    pub warp_chunk: u64,
-    /// Whether the `cudaMemcpy2D` misaligned-row cliff exists.
-    pub memcpy2d_cliff: bool,
-}
 
 /// One registered GPU architecture: named constructors for its spec and
-/// node topology plus the cached derived cost table.
+/// node topology.
 pub struct GpuArch {
     /// Short slug used on the command line and in CSV arch columns.
     pub name: &'static str,
@@ -55,7 +27,6 @@ pub struct GpuArch {
     pub summary: &'static str,
     spec: fn() -> GpuSpec,
     topo: fn() -> NodeTopology,
-    cost: OnceLock<CostParams>,
 }
 
 static REGISTRY: [GpuArch; 4] = [
@@ -65,7 +36,6 @@ static REGISTRY: [GpuArch; 4] = [
         summary: "Kepler GK110B, PCIe gen3 PSG node (the paper's testbed; default)",
         spec: GpuSpec::k40,
         topo: NodeTopology::psg_node,
-        cost: OnceLock::new(),
     },
     GpuArch {
         name: "p100",
@@ -73,7 +43,6 @@ static REGISTRY: [GpuArch; 4] = [
         summary: "Pascal GP100 SXM2, NVLink 1.0 DGX-1 node",
         spec: GpuSpec::p100,
         topo: NodeTopology::dgx1_p100_node,
-        cost: OnceLock::new(),
     },
     GpuArch {
         name: "v100",
@@ -81,7 +50,6 @@ static REGISTRY: [GpuArch; 4] = [
         summary: "Volta GV100 SXM2, NVLink 2.0 DGX-1V node",
         spec: GpuSpec::v100,
         topo: NodeTopology::dgx1v_node,
-        cost: OnceLock::new(),
     },
     GpuArch {
         name: "a100",
@@ -89,7 +57,6 @@ static REGISTRY: [GpuArch; 4] = [
         summary: "Ampere GA100 SXM4-40GB, NVLink 3.0 DGX A100 node",
         spec: GpuSpec::a100,
         topo: NodeTopology::dgxa100_node,
-        cost: OnceLock::new(),
     },
 ];
 
@@ -141,29 +108,6 @@ impl GpuArch {
     /// A fresh copy of this architecture's node interconnect constants.
     pub fn topology(&self) -> NodeTopology {
         (self.topo)()
-    }
-
-    /// The derived cost table, computed on first use and cached for the
-    /// life of the process.
-    pub fn cost(&self) -> &CostParams {
-        self.cost.get_or_init(|| {
-            let s = self.spec();
-            let t = self.topology();
-            let pack_bw = s
-                .dram_traffic_bw
-                .derated(s.pack_kernel_efficiency)
-                .bytes_per_sec();
-            CostParams {
-                launch_ns: s.launch_overhead.as_nanos() as f64,
-                memcpy_fixed_ns: (s.memcpy_latency.as_nanos() + t.pcie_latency.as_nanos()) as f64,
-                pack_nspb: 1e9 / pack_bw,
-                peak_copy_gbps: s.peak_copy_rate().as_gbps(),
-                p2p_gbps: t.pcie_p2p.as_gbps(),
-                h2d_gbps: t.pcie_h2d.as_gbps(),
-                warp_chunk: s.warp_chunk(),
-                memcpy2d_cliff: t.memcpy2d_cliff(),
-            }
-        })
     }
 }
 
@@ -233,19 +177,6 @@ mod tests {
     }
 
     #[test]
-    fn cost_params_cache_and_derive() {
-        let k40 = GpuArch::default_arch();
-        let c = k40.cost();
-        assert!((c.peak_copy_gbps - 180.0).abs() < 1e-9);
-        assert_eq!(c.warp_chunk, 256);
-        assert!(c.memcpy2d_cliff);
-        // Cached: the same reference comes back.
-        assert!(std::ptr::eq(c, k40.cost()));
-        // NVLink parts flatten the cliff.
-        assert!(!GpuArch::named("a100").cost().memcpy2d_cliff);
-    }
-
-    #[test]
     fn newer_archs_invert_the_pcie_era_tradeoffs() {
         let k40 = GpuArch::named("k40");
         let a100 = GpuArch::named("a100");
@@ -273,7 +204,6 @@ mod tests {
             assert!(txn.is_power_of_two(), "{}: transaction {txn}", arch.name);
             assert!(chunk.is_power_of_two(), "{}: warp chunk {chunk}", arch.name);
             assert_eq!(chunk % txn, 0, "{}: chunk {chunk} vs txn {txn}", arch.name);
-            assert_eq!(arch.cost().warp_chunk, chunk, "{}", arch.name);
         }
     }
 

@@ -1,9 +1,9 @@
 //! `cudaMemcpy` / `cudaMemcpy2D` equivalents.
 
 use crate::fault;
-use crate::system::{GpuWorld, StreamId};
+use crate::system::{GpuSystem, GpuWorld, StreamId};
 use faultsim::{Backoff, FaultDecision, FaultOp};
-use memsim::{MemSpace, Ptr};
+use memsim::{GpuId, MemSpace, Ptr};
 use simcore::par::CopyOp;
 use simcore::trace::names;
 use simcore::{Sim, SimTime, Track};
@@ -43,15 +43,17 @@ impl CopyDirection {
     }
 }
 
-fn contiguous_copy_time<W: GpuWorld>(
-    sim: &Sim<W>,
-    stream: StreamId,
+/// Time a contiguous copy of `bytes` in direction `dir` issued on `gpu`
+/// takes: the single copy cost definition, charged by [`memcpy`] and
+/// priced by the tuners' staging stages.
+pub fn contiguous_copy_time(
+    sys: &GpuSystem,
+    gpu: GpuId,
     dir: CopyDirection,
     bytes: u64,
 ) -> SimTime {
-    let sys = sim.world.gpus_ref();
     let topo = &sys.topo;
-    let g = sys.gpu(stream.gpu);
+    let g = sys.gpu(gpu);
     let lat = g.spec.memcpy_latency;
     match dir {
         CopyDirection::HostToHost => topo.host_memcpy_bw.time_for(bytes) + lat,
@@ -92,7 +94,7 @@ fn memcpy_attempt<W: GpuWorld>(
     done: impl FnOnce(&mut Sim<W>, SimTime) + 'static,
 ) {
     let dir = CopyDirection::of(src, dst);
-    let duration = contiguous_copy_time(sim, stream, dir, bytes);
+    let duration = contiguous_copy_time(sim.world.gpus_ref(), stream.gpu, dir, bytes);
     let duration = fault::fault_scaled(sim, FaultOp::Memcpy, duration);
     let now = sim.now();
     let (start, end) = sim.world.gpus().stream_mut(stream).reserve(now, duration);

@@ -22,9 +22,9 @@
 
 use crate::fault;
 use crate::spec::GpuSpec;
-use crate::system::{GpuWorld, StreamId};
+use crate::system::{GpuSystem, GpuWorld, StreamId};
 use faultsim::{Backoff, FaultDecision, FaultOp};
-use memsim::{MemSpace, Ptr};
+use memsim::{GpuId, MemSpace, Ptr};
 use simcore::par::CopyOp;
 use simcore::trace::names;
 use simcore::{Bandwidth, Sim, SimTime, Track};
@@ -144,69 +144,173 @@ pub fn kernel_shape(units: &[CopyOp], src_base: u64, dst_base: u64, spec: &GpuSp
     shape
 }
 
-/// Where one side of the transfer lives, relative to the executing GPU.
+impl KernelShape {
+    /// Estimate the shape of a `payload`-byte launch of `units` units
+    /// without a unit list, from the average run length alone: the typed
+    /// side (the source) is scattered — a misaligned run pays one extra
+    /// line per warp chunk plus a partial line — and the packed side (the
+    /// destination) is dense but still pays a partial line per unit.
+    /// This is what the tuners price a fragment they have not cut yet at.
+    pub fn estimate(units: u64, payload: u64, rates: &KernelRates) -> KernelShape {
+        let geo = &rates.geo;
+        let base = (payload >> geo.txn_shift) + units.min(payload);
+        KernelShape {
+            units,
+            payload,
+            src_lines: base + (payload >> geo.chunk_shift),
+            dst_lines: base,
+        }
+    }
+}
+
+/// Where one side of a transfer kernel lives, relative to the executing
+/// GPU.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum Side {
+pub enum Placement {
     /// In the executing GPU's own DRAM.
-    LocalDevice,
+    Local,
     /// Zero-copy mapped host memory, reached over PCIe.
     MappedHost,
     /// A peer GPU's memory reached over PCIe P2P (IPC mapping).
-    PeerDevice,
+    Peer,
 }
 
-fn classify(ptr: Ptr, exec_gpu: memsim::GpuId) -> Side {
-    match ptr.space {
-        MemSpace::Host => Side::MappedHost,
-        MemSpace::Device(g) if g == exec_gpu => Side::LocalDevice,
-        MemSpace::Device(_) => Side::PeerDevice,
-    }
-}
-
-/// Pure timing of a transfer kernel (no event scheduling): used both by
-/// the launch path and by analytical tests. `shape` summarizes the
-/// launch's unit list with `src.offset` and `dst.offset` as its bases
-/// (see [`kernel_shape`]).
-#[allow(clippy::too_many_arguments)]
-pub fn transfer_kernel_time(
-    spec: &GpuSpec,
-    eff_traffic_bw: Bandwidth,
-    pcie_bw: Bandwidth,
-    pcie_latency: SimTime,
-    src: Ptr,
-    dst: Ptr,
-    exec_gpu: memsim::GpuId,
-    shape: &KernelShape,
-    descriptor_stream: bool,
-) -> SimTime {
-    let src_side = classify(src, exec_gpu);
-    let dst_side = classify(dst, exec_gpu);
-    assert!(
-        src_side == Side::LocalDevice || dst_side == Side::LocalDevice,
-        "transfer kernel must touch the executing GPU's memory on at least one side"
-    );
-
-    // The general DEV kernel streams its descriptors from local DRAM.
-    let mut dram_traffic = if descriptor_stream {
-        shape.units * spec.descriptor_bytes
-    } else {
-        0
-    };
-    let mut pcie_bytes = 0u64;
-    for (side, lines) in [(src_side, shape.src_lines), (dst_side, shape.dst_lines)] {
-        match side {
-            Side::LocalDevice => dram_traffic += lines * spec.transaction_bytes,
-            Side::MappedHost | Side::PeerDevice => pcie_bytes += shape.payload,
+impl Placement {
+    pub fn of(ptr: Ptr, exec_gpu: GpuId) -> Placement {
+        match ptr.space {
+            MemSpace::Host => Placement::MappedHost,
+            MemSpace::Device(g) if g == exec_gpu => Placement::Local,
+            MemSpace::Device(_) => Placement::Peer,
         }
     }
 
-    let dram_time = eff_traffic_bw.time_for(dram_traffic);
-    let pcie_time = if pcie_bytes > 0 {
-        pcie_bw.time_for(pcie_bytes) + pcie_latency
-    } else {
-        SimTime::ZERO
-    };
-    spec.launch_overhead + dram_time.max(pcie_time)
+    /// The off-GPU side of a kernel between `src` and `dst` (`Local`
+    /// when both live in the executing GPU).
+    fn far(src: Placement, dst: Placement) -> Placement {
+        if src == Placement::Local {
+            dst
+        } else {
+            src
+        }
+    }
+}
+
+/// The rates one GPU charges a transfer kernel at, resolved once per
+/// (GPU, off-GPU placement, block limit): the derated DRAM traffic rate,
+/// the PCIe rate and latency of the far side, the launch overhead and
+/// the line geometry. The one kernel cost definition: launches, graph
+/// kernels and the analytic tuners all price a [`KernelShape`] here.
+#[derive(Clone, Copy, Debug)]
+pub struct KernelRates {
+    geo: LineGeometry,
+    launch: SimTime,
+    descriptor_bytes: u64,
+    dram: Bandwidth,
+    pcie: Bandwidth,
+    pcie_latency: SimTime,
+}
+
+impl KernelRates {
+    /// Rates for a kernel on `gpu` whose off-GPU side (if any) sits at
+    /// `far`, limited to `blocks` thread blocks (`None`: every SM).
+    pub fn of(sys: &GpuSystem, gpu: GpuId, far: Placement, blocks: Option<u32>) -> KernelRates {
+        let g = sys.gpu(gpu);
+        let mut dram = g
+            .effective_traffic_bw()
+            .derated(g.spec.pack_kernel_efficiency);
+        if let Some(blocks) = blocks {
+            let occ = (blocks as f64 / g.spec.sm_count as f64).min(1.0);
+            dram = dram.derated(occ.max(f64::MIN_POSITIVE));
+        }
+        let topo = &sys.topo;
+        // Zero-copy traffic rides the host link, peer traffic the
+        // derated P2P link (h2d and d2h rates are symmetric in every
+        // topology table).
+        let pcie = match far {
+            Placement::MappedHost => topo.pcie_h2d,
+            Placement::Local | Placement::Peer => {
+                topo.pcie_p2p.derated(topo.peer_kernel_efficiency)
+            }
+        };
+        KernelRates {
+            geo: LineGeometry::of(&g.spec),
+            launch: g.spec.launch_overhead,
+            descriptor_bytes: g.spec.descriptor_bytes,
+            dram,
+            pcie,
+            pcie_latency: topo.pcie_latency,
+        }
+    }
+
+    /// The driver launch overhead every non-graph launch pays.
+    pub fn launch_overhead(&self) -> SimTime {
+        self.launch
+    }
+
+    /// Kernel body time, launch excluded: DRAM traffic (both local
+    /// sides' lines plus the descriptor stream) against the far side's
+    /// PCIe bytes plus latency — the hardware overlaps the two, so the
+    /// body takes the longer.
+    pub fn body_time(
+        &self,
+        shape: &KernelShape,
+        src: Placement,
+        dst: Placement,
+        descriptor_stream: bool,
+    ) -> SimTime {
+        assert!(
+            src == Placement::Local || dst == Placement::Local,
+            "transfer kernel must touch the executing GPU's memory on at least one side"
+        );
+        // The general DEV kernel streams its descriptors from local DRAM.
+        let mut dram_traffic = if descriptor_stream {
+            shape.units * self.descriptor_bytes
+        } else {
+            0
+        };
+        let mut pcie_bytes = 0u64;
+        for (side, lines) in [(src, shape.src_lines), (dst, shape.dst_lines)] {
+            match side {
+                Placement::Local => dram_traffic += lines << self.geo.txn_shift,
+                Placement::MappedHost | Placement::Peer => pcie_bytes += shape.payload,
+            }
+        }
+        let dram_time = self.dram.time_for(dram_traffic);
+        let pcie_time = if pcie_bytes > 0 {
+            self.pcie.time_for(pcie_bytes) + self.pcie_latency
+        } else {
+            SimTime::ZERO
+        };
+        dram_time.max(pcie_time)
+    }
+
+    /// Launched kernel time: the launch overhead plus the body.
+    pub fn time(
+        &self,
+        shape: &KernelShape,
+        src: Placement,
+        dst: Placement,
+        descriptor_stream: bool,
+    ) -> SimTime {
+        self.launch + self.body_time(shape, src, dst, descriptor_stream)
+    }
+}
+
+/// Resolve the rates and placements of a kernel between `src` and `dst`
+/// on `gpu`: the pricing prologue launches and graph kernels share.
+pub(crate) fn kernel_rates(
+    sys: &GpuSystem,
+    gpu: GpuId,
+    src: Ptr,
+    dst: Ptr,
+    blocks: Option<u32>,
+) -> (KernelRates, Placement, Placement) {
+    let (s, d) = (Placement::of(src, gpu), Placement::of(dst, gpu));
+    (
+        KernelRates::of(sys, gpu, Placement::far(s, d), blocks),
+        s,
+        d,
+    )
 }
 
 /// Launch a pack/unpack kernel on `stream`: reserves the stream for the
@@ -258,36 +362,9 @@ fn launch_attempt<W: GpuWorld>(
     mut backoff: Backoff,
     done: impl FnOnce(&mut Sim<W>, SimTime) + 'static,
 ) {
-    let gpu = stream.gpu;
     let duration = {
-        let sys = sim.world.gpus_ref();
-        let g = sys.gpu(gpu);
-        let mut bw = g
-            .effective_traffic_bw()
-            .derated(g.spec.pack_kernel_efficiency);
-        if let Some(blocks) = cfg.blocks {
-            let occ = (blocks as f64 / g.spec.sm_count as f64).min(1.0);
-            bw = bw.derated(occ.max(f64::MIN_POSITIVE));
-        }
-        // Zero-copy / peer traffic rides PCIe; pick the worst-case
-        // direction (h2d vs d2h rates are symmetric in the default
-        // topology; p2p differs only slightly).
-        let pcie = if src.space.is_host() || dst.space.is_host() {
-            sys.topo.pcie_h2d
-        } else {
-            sys.topo.pcie_p2p.derated(sys.topo.peer_kernel_efficiency)
-        };
-        transfer_kernel_time(
-            &g.spec,
-            bw,
-            pcie,
-            sys.topo.pcie_latency,
-            src,
-            dst,
-            gpu,
-            &shape,
-            cfg.descriptor_stream,
-        )
+        let (rates, s, d) = kernel_rates(sim.world.gpus_ref(), stream.gpu, src, dst, cfg.blocks);
+        rates.time(&shape, s, d, cfg.descriptor_stream)
     };
     let duration = fault::fault_scaled(sim, FaultOp::KernelLaunch, duration);
     let now = sim.now();
@@ -342,6 +419,27 @@ mod tests {
 
     fn spec() -> GpuSpec {
         GpuSpec::k40()
+    }
+
+    /// Rates with explicit DRAM and PCIe figures, for analytic checks.
+    fn rates(s: &GpuSpec, dram: Bandwidth, pcie: Bandwidth, pcie_latency: SimTime) -> KernelRates {
+        KernelRates {
+            geo: LineGeometry::of(s),
+            launch: s.launch_overhead,
+            descriptor_bytes: s.descriptor_bytes,
+            dram,
+            pcie,
+            pcie_latency,
+        }
+    }
+
+    fn price(r: &KernelRates, src: Ptr, dst: Ptr, exec: GpuId, shape: &KernelShape) -> SimTime {
+        r.time(
+            shape,
+            Placement::of(src, exec),
+            Placement::of(dst, exec),
+            true,
+        )
     }
 
     /// The per-unit pricing walk the shape pass replaced, kept as the
@@ -400,8 +498,8 @@ mod tests {
             descriptor_stream: bool,
         ) -> SimTime {
             let payload: u64 = units.iter().map(|u| u.len as u64).sum();
-            let src_side = classify(src, exec_gpu);
-            let dst_side = classify(dst, exec_gpu);
+            let src_side = Placement::of(src, exec_gpu);
+            let dst_side = Placement::of(dst, exec_gpu);
             let mut dram_traffic = if descriptor_stream {
                 units.len() as u64 * spec.descriptor_bytes
             } else {
@@ -412,10 +510,10 @@ mod tests {
                 [(src_side, true, src.offset), (dst_side, false, dst.offset)]
             {
                 match side {
-                    Side::LocalDevice => {
+                    Placement::Local => {
                         dram_traffic += side_traffic_bytes(units, base, is_src, spec);
                     }
-                    Side::MappedHost | Side::PeerDevice => pcie_bytes += payload,
+                    Placement::MappedHost | Placement::Peer => pcie_bytes += payload,
                 }
             }
             let dram_time = eff_traffic_bw.time_for(dram_traffic);
@@ -505,19 +603,11 @@ mod tests {
                 let bw = s.dram_traffic_bw.derated(s.pack_kernel_efficiency);
                 let pcie = Bandwidth::from_gbps(10.0);
                 let lat = SimTime::from_micros(2);
+                let r = rates(&s, bw, pcie, lat);
+                let (sp, dp) = (Placement::of(src, exec), Placement::of(dst, exec));
                 for descriptor_stream in [true, false] {
                     assert_eq!(
-                        transfer_kernel_time(
-                            &s,
-                            bw,
-                            pcie,
-                            lat,
-                            src,
-                            dst,
-                            exec,
-                            &shape,
-                            descriptor_stream
-                        ),
+                        r.time(&shape, sp, dp, descriptor_stream),
                         oracle::transfer_kernel_time(
                             &s,
                             bw,
@@ -620,17 +710,13 @@ mod tests {
             alloc: memsim::AllocId(1),
             offset: 0,
         };
-        let t = transfer_kernel_time(
+        let r = rates(
             &s,
             s.dram_traffic_bw,
             Bandwidth::from_gbps(10.0),
             SimTime::from_micros(2),
-            d,
-            d2,
-            gpu,
-            &kernel_shape(&units, 0, 0, &s),
-            true,
         );
+        let t = price(&r, d, d2, gpu, &kernel_shape(&units, 0, 0, &s));
         let rate = payload as f64 / t.as_secs_f64() / 1e9;
         let peak = s.peak_copy_rate().as_gbps();
         assert!(rate > 0.9 * peak, "rate {rate} vs peak {peak}");
@@ -660,28 +746,14 @@ mod tests {
             alloc: memsim::AllocId(1),
             offset: 0,
         };
-        let t_aligned = transfer_kernel_time(
+        let r = rates(
             &s,
             s.dram_traffic_bw,
             Bandwidth::from_gbps(10.0),
             SimTime::ZERO,
-            d,
-            d2,
-            gpu,
-            &kernel_shape(&mk(0), 0, 0, &s),
-            true,
         );
-        let t_misaligned = transfer_kernel_time(
-            &s,
-            s.dram_traffic_bw,
-            Bandwidth::from_gbps(10.0),
-            SimTime::ZERO,
-            d,
-            d2,
-            gpu,
-            &kernel_shape(&mk(8), 0, 0, &s),
-            true,
-        );
+        let t_aligned = price(&r, d, d2, gpu, &kernel_shape(&mk(0), 0, 0, &s));
+        let t_misaligned = price(&r, d, d2, gpu, &kernel_shape(&mk(8), 0, 0, &s));
         let ratio = t_misaligned.as_secs_f64() / t_aligned.as_secs_f64();
         assert!(
             (1.4..1.6).contains(&ratio),

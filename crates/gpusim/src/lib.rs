@@ -30,14 +30,16 @@ pub mod spec;
 pub mod stream_trigger;
 pub mod system;
 
-pub use arch::{CostParams, GpuArch};
-pub use copy::{memcpy, memcpy_2d, CopyDirection};
+pub use arch::GpuArch;
+pub use copy::{contiguous_copy_time, memcpy, memcpy_2d, CopyDirection};
 pub use fault::{count_retry, fault_roll, fault_scaled};
 pub use kernel::{
-    kernel_shape, launch_transfer_kernel, transfer_kernel_time, KernelConfig, KernelShape,
+    kernel_shape, launch_transfer_kernel, KernelConfig, KernelRates, KernelShape, Placement,
 };
 pub use spec::{GpuSpec, Interconnect, NodeTopology};
-pub use stream_trigger::{graph_kernel, replay_issue, GraphCapture, StreamGraph};
+pub use stream_trigger::{
+    graph_kernel, op_issue_time, replay_cost, replay_issue, GraphCapture, StreamGraph,
+};
 pub use system::{
     ipc_export, ipc_open, stream_sync, GpuState, GpuSystem, GpuWorld, NodeWorld, StreamId,
 };

@@ -20,7 +20,8 @@
 //! in the fault-coverage sense (it is listed in the lint's
 //! `CHARGE_WRAPPERS`).
 
-use crate::kernel::{kernel_shape, transfer_kernel_time};
+use crate::kernel::{kernel_rates, kernel_shape};
+use crate::spec::NodeTopology;
 use crate::system::{GpuWorld, StreamId};
 use faultsim::FaultOp;
 use memsim::Ptr;
@@ -115,8 +116,7 @@ impl GraphCapture {
     /// driver walks the graph once to bake command buffers — one op
     /// issue per node) and return the replayable graph.
     pub fn finish<W: GpuWorld>(self, sim: &mut Sim<W>) -> StreamGraph {
-        let issue = sim.world.gpus_ref().topo.stream_op_issue;
-        let cost = SimTime::from_nanos(issue.as_nanos().saturating_mul(self.ops.len() as u64));
+        let cost = op_issue_time(&sim.world.gpus_ref().topo, self.ops.len());
         let now = sim.now();
         let (start, end) = sim.world.gpus().stream_mut(self.stream).reserve(now, cost);
         sim.trace.span_at(
@@ -146,6 +146,17 @@ impl GraphCapture {
     }
 }
 
+/// Stream front-end issue time of `ops` graph nodes.
+pub fn op_issue_time(topo: &NodeTopology, ops: usize) -> SimTime {
+    SimTime::from_nanos(topo.stream_op_issue.as_nanos().saturating_mul(ops as u64))
+}
+
+/// What re-arming a captured graph of `ops` nodes charges its stream:
+/// the doorbell latency once plus per-op issue.
+pub fn replay_cost(topo: &NodeTopology, ops: usize) -> SimTime {
+    topo.stream_doorbell_lat + op_issue_time(topo, ops)
+}
+
 /// Re-arm a captured graph for one iteration: the stream front-end
 /// pays the doorbell latency once plus per-op issue for every node,
 /// then `armed` runs — at which point the graph's kernels and wire
@@ -160,10 +171,7 @@ pub fn replay_issue<W: GpuWorld>(
     graph: &StreamGraph,
     armed: impl FnOnce(&mut Sim<W>, SimTime) + 'static,
 ) {
-    let topo = &sim.world.gpus_ref().topo;
-    let issue = topo.stream_op_issue;
-    let cost = topo.stream_doorbell_lat
-        + SimTime::from_nanos(issue.as_nanos().saturating_mul(graph.op_count() as u64));
+    let cost = replay_cost(&sim.world.gpus_ref().topo, graph.op_count());
     let cost = crate::fault::fault_scaled(sim, FaultOp::StreamDoorbell, cost);
     let now = sim.now();
     let stream = graph.stream;
@@ -197,31 +205,11 @@ pub fn graph_kernel<W: GpuWorld>(
     units: Vec<CopyOp>,
     done: impl FnOnce(&mut Sim<W>, SimTime) + 'static,
 ) {
-    let gpu = stream.gpu;
     let (shape, duration) = {
         let sys = sim.world.gpus_ref();
-        let g = sys.gpu(gpu);
-        let shape = kernel_shape(&units, src.offset, dst.offset, &g.spec);
-        let bw = g
-            .effective_traffic_bw()
-            .derated(g.spec.pack_kernel_efficiency);
-        let pcie = if src.space.is_host() || dst.space.is_host() {
-            sys.topo.pcie_h2d
-        } else {
-            sys.topo.pcie_p2p.derated(sys.topo.peer_kernel_efficiency)
-        };
-        let duration = transfer_kernel_time(
-            &g.spec,
-            bw,
-            pcie,
-            sys.topo.pcie_latency,
-            src,
-            dst,
-            gpu,
-            &shape,
-            true,
-        ) - g.spec.launch_overhead;
-        (shape, duration)
+        let shape = kernel_shape(&units, src.offset, dst.offset, &sys.gpu(stream.gpu).spec);
+        let (rates, s, d) = kernel_rates(sys, stream.gpu, src, dst, None);
+        (shape, rates.body_time(&shape, s, d, true))
     };
     let duration = crate::fault::fault_scaled(sim, FaultOp::KernelLaunch, duration);
     let now = sim.now();
@@ -293,6 +281,61 @@ mod tests {
         replay_issue(&mut sim, &g, move |_, at| *a.borrow_mut() = at);
         sim.run();
         assert_eq!(*armed_at.borrow(), capture_end + topo_cost);
+    }
+
+    #[test]
+    fn graph_kernel_charges_the_launch_minus_its_overhead() {
+        use crate::arch::GpuArch;
+        use crate::kernel::{launch_transfer_kernel, KernelConfig};
+        use memsim::{GpuId, MemSpace};
+        // Misaligned, mixed-length units so every cost term is live.
+        let units: Vec<CopyOp> = (0..64)
+            .map(|i| CopyOp {
+                src_off: i * 1000 + 8,
+                dst_off: i * 700,
+                len: 300 + i * 5,
+            })
+            .collect();
+        for arch in GpuArch::registry() {
+            for far in [
+                MemSpace::Device(GpuId(0)),
+                MemSpace::Host,
+                MemSpace::Device(GpuId(1)),
+            ] {
+                let run = |graph: bool| -> SimTime {
+                    let mut sim = Sim::new(NodeWorld::for_arch(arch, 2));
+                    let gpu = GpuId(0);
+                    let src = sim
+                        .world
+                        .memory
+                        .alloc(MemSpace::Device(gpu), 1 << 17)
+                        .unwrap();
+                    let dst = sim.world.memory.alloc(far, 1 << 17).unwrap();
+                    let stream = sim.world.gpu_system.default_stream(gpu);
+                    if graph {
+                        graph_kernel(&mut sim, stream, src, dst, units.clone(), |_, _| {});
+                    } else {
+                        let cfg = KernelConfig::default();
+                        launch_transfer_kernel(
+                            &mut sim,
+                            stream,
+                            src,
+                            dst,
+                            units.clone(),
+                            cfg,
+                            |_, _| {},
+                        );
+                    }
+                    sim.run()
+                };
+                assert_eq!(
+                    run(true),
+                    run(false) - arch.spec().launch_overhead,
+                    "{} with the far side in {far:?}",
+                    arch.name
+                );
+            }
+        }
     }
 
     #[test]

@@ -2,12 +2,16 @@
 //!
 //! The rendezvous protocols pipeline a transfer through a ring of
 //! `pipeline_depth` fragments of `frag_size` bytes, both hand-picked
-//! constants in [`crate::MpiConfig`]. This module evaluates the same
-//! per-fragment cost arithmetic the simulator charges — kernel launch +
-//! DRAM/PCIe traffic for the conversion stages, link bandwidth +
-//! latency for the wire, active-message latency for the per-fragment
-//! control traffic — as a closed-form pipeline makespan
-//! ([`devengine::tune::pipeline_makespan_ns`]) and lets
+//! constants in [`crate::MpiConfig`]. This module lists the stages one
+//! fragment passes through on each path and prices every stage with the
+//! function the simulator charges for it — [`gpusim::KernelRates`] and
+//! the engine's preparation charge for the conversion kernels,
+//! [`gpusim::contiguous_copy_time`] for staging copies, the link rate
+//! and latency for the wire and the per-fragment active messages,
+//! [`netsim::program_time`] and [`gpusim::replay_cost`] for the offload
+//! classes. There is no second set of cost constants here to drift: the
+//! stages fold into a closed-form pipeline makespan
+//! ([`devengine::tune::pipeline_makespan_ns`]) and
 //! [`devengine::tune::pick_fragment`] choose a (fragment, depth) shape
 //! per *(canonical sender layout, canonical receiver layout, message
 //! size, path class)*.
@@ -24,14 +28,22 @@
 //! Decisions are cached in [`crate::world::MpiState::tuned_shapes`] and
 //! surfaced through the `optimizer.frag.*` trace counters.
 
+use crate::config::MpiConfig;
 use crate::protocol::Side;
 use crate::world::MpiWorld;
-use devengine::tune::{pick_fragment, pipeline_makespan_ns, Stage};
+use datatype::DataType;
+use devengine::engine::prep_time;
+use devengine::tune::{fragment_kernel_time, pick_fragment, pipeline_makespan_ns, Shatter, Stage};
 use devengine::OptimizerConfig;
-use gpusim::GpuWorld as _;
-use netsim::NetWorld as _;
+use gpusim::{
+    contiguous_copy_time, op_issue_time, replay_cost, CopyDirection, GpuWorld as _, KernelRates,
+    Placement,
+};
+use memsim::GpuId;
+use netsim::am::AM_HEADER_BYTES;
+use netsim::{program_time, NetWorld as _, NicCosts};
 use simcore::trace::names;
-use simcore::Sim;
+use simcore::{Sim, SimTime};
 
 /// Which transfer pipeline a rendezvous took.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -74,12 +86,7 @@ pub struct TuneKey {
 }
 
 fn side_fingerprint(side: &Side, opt: &OptimizerConfig) -> u64 {
-    let ty = if opt.canonicalize {
-        side.ty.canonical()
-    } else {
-        side.ty.clone()
-    };
-    let mut fp = ty.layout_fingerprint();
+    let mut fp = layout(side, opt).layout_fingerprint();
     // Fold in count, density and placement: the same element layout
     // tunes differently on host vs device, dense vs strided.
     for word in [side.count, side.dense() as u64, side.device() as u64] {
@@ -102,328 +109,156 @@ pub(crate) fn cache_key(sim: &Sim<MpiWorld>, s: &Side, r: &Side, class: PathClas
     }
 }
 
-/// Calibration constants gathered once per decision from the same specs
-/// the simulator charges.
-struct Model {
-    /// Effective pack-kernel DRAM bandwidth, ns per traffic byte.
-    dram_nspb: f64,
-    /// ns per byte over PCIe for kernels touching mapped host memory.
-    pcie_host_nspb: f64,
-    /// ns per byte over PCIe P2P for kernels touching peer GPU memory
-    /// through an IPC mapping (derated per §5.2.1).
-    peer_nspb: f64,
-    /// ns per byte of a bulk P2P `cudaMemcpy` (staging GET/PUT).
-    p2p_copy_nspb: f64,
-    /// ns per byte of a D2H/H2D staging `cudaMemcpy`.
-    pcie_copy_nspb: f64,
-    /// Fixed cost of any `cudaMemcpy` (driver + PCIe transaction).
-    memcpy_fixed_ns: f64,
-    /// Kernel launch overhead.
-    launch_ns: f64,
-    /// PCIe transaction latency (added once per off-GPU kernel).
-    pcie_lat_ns: f64,
-    /// Descriptor bytes streamed per CUDA-DEV work unit.
-    desc_bytes: f64,
-    /// CPU preparation: fixed per batch / per unit produced.
-    prep_call_ns: f64,
-    prep_per_unit_ns: f64,
-    /// Host CPU pack/unpack path, ns per byte.
-    cpu_pack_nspb: f64,
-    /// Data link between the ranks: ns per byte + fixed latency.
-    wire_nspb: f64,
-    wire_lat_ns: f64,
-    /// One active message on the control link (per-fragment protocol
-    /// traffic: unpack requests, slot acks).
-    am_ns: f64,
-    /// NIC packet processor: per-descriptor issue on the handler cores
-    /// and the gather/scatter DMA streaming rate (ns per byte).
-    nic_desc_issue_ns: f64,
-    nic_dma_nspb: f64,
-    /// Stream-triggered replay: doorbell MMIO latency and per-op re-arm
-    /// issue on the stream front-end.
-    stream_doorbell_ns: f64,
-    stream_op_issue_ns: f64,
-    /// Engine work-unit size (for descriptor-path shatter estimates).
-    unit_size: u64,
-    /// DRAM transaction granularity and warp chunk (bytes): the
-    /// simulator charges kernel traffic in whole transactions per warp
-    /// chunk (`gpusim::kernel::access_lines`), so the model must too.
-    txn_bytes: f64,
-    warp_chunk: f64,
-}
-
-fn nspb(bw: simcore::Bandwidth) -> f64 {
-    1e9 / bw.bytes_per_sec()
-}
-
-fn gather(sim: &mut Sim<MpiWorld>, s_rank: usize, r_rank: usize) -> Model {
-    let (dram_nspb, launch_ns, memcpy_lat_ns, desc_bytes, txn_bytes, warp_chunk) = {
-        let sys = sim.world.gpus_ref();
-        let g = sys.gpu(sim.world.mpi.ranks[s_rank].gpu);
-        let eff = g
-            .effective_traffic_bw()
-            .derated(g.spec.pack_kernel_efficiency);
-        (
-            nspb(eff),
-            g.spec.launch_overhead.as_nanos() as f64,
-            g.spec.memcpy_latency.as_nanos() as f64,
-            g.spec.descriptor_bytes as f64,
-            g.spec.transaction_bytes as f64,
-            g.spec.warp_chunk() as f64,
-        )
-    };
-    let (pcie_host_nspb, peer_nspb, p2p_copy_nspb, pcie_copy_nspb, pcie_lat_ns) = {
-        let topo = &sim.world.gpus_ref().topo;
-        (
-            nspb(topo.pcie_h2d),
-            nspb(topo.pcie_p2p.derated(topo.peer_kernel_efficiency)),
-            nspb(topo.pcie_p2p),
-            nspb(topo.pcie_d2h),
-            topo.pcie_latency.as_nanos() as f64,
-        )
-    };
-    let (nic_desc_issue_ns, nic_dma_nspb, stream_doorbell_ns, stream_op_issue_ns) = {
-        let topo = &sim.world.gpus_ref().topo;
-        (
-            topo.nic_desc_issue.as_nanos() as f64,
-            nspb(topo.nic_dma_bw),
-            topo.stream_doorbell_lat.as_nanos() as f64,
-            topo.stream_op_issue.as_nanos() as f64,
-        )
-    };
-    let (wire_nspb, wire_lat_ns, am_ns) = {
-        let ch = sim.world.net().channel_mut(s_rank, r_rank);
-        (
-            nspb(ch.data.bandwidth),
-            ch.data.latency.as_nanos() as f64,
-            ch.ctrl.latency.as_nanos() as f64 + ch.ctrl.bandwidth.time_for(16).as_nanos() as f64,
-        )
-    };
-    let cfg = &sim.world.mpi.config;
-    Model {
-        dram_nspb,
-        pcie_host_nspb,
-        peer_nspb,
-        p2p_copy_nspb,
-        pcie_copy_nspb,
-        memcpy_fixed_ns: memcpy_lat_ns + pcie_lat_ns,
-        launch_ns,
-        pcie_lat_ns,
-        desc_bytes,
-        prep_call_ns: cfg.engine.prep_call.as_nanos() as f64,
-        prep_per_unit_ns: cfg.engine.prep_per_unit.as_nanos() as f64,
-        cpu_pack_nspb: nspb(cfg.cpu_pack_bw),
-        wire_nspb,
-        wire_lat_ns,
-        am_ns,
-        nic_desc_issue_ns,
-        nic_dma_nspb,
-        stream_doorbell_ns,
-        stream_op_issue_ns,
-        unit_size: cfg.engine.unit_size,
-        txn_bytes,
-        warp_chunk,
-    }
-}
-
-/// Where the non-typed side of a conversion kernel lives.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum KernelFar {
-    /// Fragment buffer in the executing GPU's own DRAM.
-    LocalDevice,
-    /// Zero-copy mapped host fragment (PCIe per payload byte).
-    MappedHost,
-    /// Peer GPU's ring slot through the IPC mapping.
-    PeerDevice,
-}
-
-/// Cost stage of one GPU pack/unpack kernel over a fragment, for a
-/// non-dense `side` whose typed buffer is local to the executing GPU.
-fn kernel_stage(m: &Model, side: &Side, opt: &OptimizerConfig, far: KernelFar) -> Stage {
-    let total = side.total().max(1);
-    let ty = if opt.canonicalize {
+/// `side`'s layout as the engine plans it (canonical form when
+/// canonicalization is on).
+fn layout(side: &Side, opt: &OptimizerConfig) -> DataType {
+    if opt.canonicalize {
         side.ty.canonical()
     } else {
         side.ty.clone()
-    };
+    }
+}
+
+/// Contiguous runs of `side`'s layout (at least one).
+fn segments(ty: &DataType, side: &Side) -> u64 {
+    ty.segment_estimate().saturating_mul(side.count).max(1)
+}
+
+/// How a non-dense `side` shatters into work units, and whether its
+/// kernel streams descriptors: the specialized arithmetic kernels still
+/// emit a (prep-charged) unit per contiguous run but stream no
+/// descriptors; the general DEV kernel also splits runs at the unit
+/// size unless coalescing merges them.
+fn shatter(side: &Side, cfg: &MpiConfig) -> (Shatter, bool) {
+    let opt = cfg.engine.optimizer;
+    let ty = layout(side, &opt);
     let arithmetic = opt.vector_dispatch
         && (ty.vector_shape().is_some()
             || ty.strided2d_shape().is_some()
             || ty.is_contiguous(side.count));
-    let segments = ty.segment_estimate().saturating_mul(side.count).max(1) as f64;
-    let units = if arithmetic {
-        // The specialized kernels still emit a unit per contiguous run
-        // (prep-charged) but stream no descriptors.
-        segments
-    } else if opt.coalesce {
-        segments
-    } else {
-        segments + total as f64 / m.unit_size as f64
-    };
-    let units_per_byte = units / total as f64;
-    let desc_nspb = if arithmetic {
-        0.0
-    } else {
-        units_per_byte * m.desc_bytes * m.dram_nspb
-    };
-    // Traffic per payload byte: the simulator charges each local side
-    // `access_lines(off, len) * txn` bytes (`gpusim::kernel`), so a
-    // misaligned scattered run costs one extra transaction per warp
-    // chunk plus a partial line per run, and even the dense fragment
-    // side pays at least one whole transaction per unit. Mirror that
-    // here so the model and the simulator agree on what a conversion
-    // kernel's DRAM traffic costs; the off-GPU side rides PCIe and the
-    // hardware overlaps the two (kernel time is their max).
-    let run = (total as f64 / units).max(1.0);
-    let scattered_factor = 1.0 + m.txn_bytes / m.warp_chunk + m.txn_bytes / run;
-    let dense_factor = 1.0 + m.txn_bytes / run;
-    let local_traffic = match far {
-        KernelFar::LocalDevice => scattered_factor + dense_factor,
-        KernelFar::MappedHost | KernelFar::PeerDevice => scattered_factor,
-    };
-    let dram = local_traffic * m.dram_nspb + desc_nspb;
-    let pcie = match far {
-        KernelFar::LocalDevice => 0.0,
-        KernelFar::MappedHost => m.pcie_host_nspb,
-        KernelFar::PeerDevice => m.peer_nspb,
-    };
-    let fixed_pcie = if far == KernelFar::LocalDevice {
-        0.0
-    } else {
-        m.pcie_lat_ns
-    };
-    Stage {
-        fixed_ns: m.launch_ns + m.prep_call_ns + fixed_pcie,
-        ns_per_byte: dram.max(pcie) + m.prep_per_unit_ns * units_per_byte,
+    let total = side.total().max(1);
+    let mut units = segments(&ty, side);
+    if !arithmetic && !opt.coalesce {
+        units += total / cfg.engine.unit_size;
     }
+    (Shatter { units, total }, !arithmetic)
 }
 
-/// Per-fragment stage list for one transfer down a given path. Dense
-/// sides contribute their staging copies only; non-dense sides their
-/// conversion engines.
-fn path_stages(sim: &mut Sim<MpiWorld>, s: &Side, r: &Side, class: PathClass) -> Vec<Stage> {
-    let m = gather(sim, s.rank, r.rank);
-    let opt = sim.world.mpi.config.engine.optimizer;
+/// Per-fragment stage list for one transfer down a given path, every
+/// stage priced by the function the simulator charges for that work.
+/// Dense sides contribute their staging copies only; non-dense sides
+/// their conversion engines.
+fn path_stages<'a>(sim: &'a Sim<MpiWorld>, s: &Side, r: &Side, class: PathClass) -> Vec<Stage<'a>> {
+    let sys = sim.world.gpus_ref();
+    let cfg = &sim.world.mpi.config;
+    let ch = sim.world.net_ref().channel(s.rank, r.rank);
+    let s_gpu = sim.world.mpi.ranks[s.rank].gpu;
+    let r_gpu = sim.world.mpi.ranks[r.rank].gpu;
+    // A pack/unpack kernel on `gpu` over the fragment plus the CPU
+    // preparation of its units; `side`'s typed buffer is local, the
+    // fragment sits at `far`. A graph-baked kernel skips the driver
+    // launch and pays one stream op issue instead.
+    let kernel = |side: &Side, gpu: GpuId, far: Placement, graph: bool| {
+        let (shatter, descriptors) = shatter(side, cfg);
+        let rates = KernelRates::of(sys, gpu, far, cfg.engine.blocks);
+        let issue = op_issue_time(&sys.topo, 1);
+        Stage::new(move |b| {
+            let mut t = fragment_kernel_time(&rates, far, shatter, descriptors, b);
+            if graph {
+                t = t - rates.launch_overhead() + issue;
+            }
+            t + prep_time(&cfg.engine, shatter.units_in(b) as usize)
+        })
+    };
+    let copy = |gpu: GpuId, dir: CopyDirection| {
+        Stage::new(move |b| contiguous_copy_time(sys, gpu, dir, b))
+    };
+    let wire = || Stage::leg(ch.data.bandwidth, ch.data.latency);
+    let cpu = || Stage::leg(cfg.cpu_pack_bw, SimTime::ZERO);
+    // One per-fragment active message on the control link (unpack
+    // requests, slot acks).
+    let am = || Stage::fixed(ch.ctrl.wire_time(AM_HEADER_BYTES) + ch.ctrl.latency);
     let mut stages = Vec::new();
-    let copy = |nspb: f64| Stage {
-        fixed_ns: m.memcpy_fixed_ns,
-        ns_per_byte: nspb,
-    };
-    let am = Stage {
-        fixed_ns: m.am_ns,
-        ns_per_byte: 0.0,
-    };
     match class {
         PathClass::SmIpc => {
-            let s_gpu = sim.world.mpi.ranks[s.rank].gpu;
-            let r_gpu = sim.world.mpi.ranks[r.rank].gpu;
-            let staged = sim.world.mpi.config.recv_local_staging && s_gpu != r_gpu;
+            let staged = cfg.recv_local_staging && s_gpu != r_gpu;
             if !s.dense() {
                 // Pack into the sender-local ring slot.
-                stages.push(kernel_stage(&m, s, &opt, KernelFar::LocalDevice));
+                stages.push(kernel(s, s_gpu, Placement::Local, false));
             }
             if staged {
                 // Receiver GETs the fragment into local staging.
-                stages.push(copy(m.p2p_copy_nspb));
+                stages.push(copy(r_gpu, CopyDirection::PeerToPeer));
             }
             if !r.dense() {
                 let far = if staged || s_gpu == r_gpu {
-                    KernelFar::LocalDevice
+                    Placement::Local
                 } else {
-                    KernelFar::PeerDevice
+                    Placement::Peer
                 };
-                stages.push(kernel_stage(&m, r, &opt, far));
+                stages.push(kernel(r, r_gpu, far, false));
             } else if !s.dense() {
                 // receiver-dense: the packed fragment is PUT to its
                 // final window at bulk P2P rate.
-                stages.push(copy(m.p2p_copy_nspb));
+                stages.push(copy(s_gpu, CopyDirection::PeerToPeer));
             }
-            stages.push(am);
+            stages.push(am());
         }
         PathClass::CopyInOut | PathClass::ZeroCopy => {
             let zero = class == PathClass::ZeroCopy;
             // Sender conversion into the host fragment.
             match (s.dense(), s.device()) {
                 (false, true) if zero => {
-                    stages.push(kernel_stage(&m, s, &opt, KernelFar::MappedHost));
+                    stages.push(kernel(s, s_gpu, Placement::MappedHost, false));
                 }
                 (false, true) => {
-                    stages.push(kernel_stage(&m, s, &opt, KernelFar::LocalDevice));
-                    stages.push(copy(m.pcie_copy_nspb));
+                    stages.push(kernel(s, s_gpu, Placement::Local, false));
+                    stages.push(copy(s_gpu, CopyDirection::DeviceToHost));
                 }
-                (false, false) => stages.push(Stage {
-                    fixed_ns: 0.0,
-                    ns_per_byte: m.cpu_pack_nspb,
-                }),
-                (true, true) => stages.push(copy(m.pcie_copy_nspb)),
+                (false, false) => stages.push(cpu()),
+                (true, true) => stages.push(copy(s_gpu, CopyDirection::DeviceToHost)),
                 (true, false) => {} // registered host data wires directly
             }
-            stages.push(Stage {
-                fixed_ns: m.wire_lat_ns,
-                ns_per_byte: m.wire_nspb,
-            });
+            stages.push(wire());
             // Receiver consumption out of the arrived fragment.
             match (r.dense(), r.device()) {
                 (false, true) if zero => {
-                    stages.push(kernel_stage(&m, r, &opt, KernelFar::MappedHost));
+                    stages.push(kernel(r, r_gpu, Placement::MappedHost, false));
                 }
                 (false, true) => {
-                    stages.push(copy(m.pcie_copy_nspb));
-                    stages.push(kernel_stage(&m, r, &opt, KernelFar::LocalDevice));
+                    stages.push(copy(r_gpu, CopyDirection::HostToDevice));
+                    stages.push(kernel(r, r_gpu, Placement::Local, false));
                 }
-                (false, false) => stages.push(Stage {
-                    fixed_ns: 0.0,
-                    ns_per_byte: m.cpu_pack_nspb,
-                }),
-                (true, true) => stages.push(copy(m.pcie_copy_nspb)),
+                (false, false) => stages.push(cpu()),
+                (true, true) => stages.push(copy(r_gpu, CopyDirection::HostToDevice)),
                 (true, false) => {} // the wire landed in the user buffer
             }
-            stages.push(am);
+            stages.push(am());
         }
         PathClass::NicOffload => {
-            // One stage: the handler front-end serializes descriptor
-            // issue while the payload streams at the slower of the wire
-            // and the NIC gather/scatter DMA — the legs pipeline per
-            // packet, so they max instead of add. No pack kernels, no
+            // One stage: the NIC program — descriptor issue on the
+            // handler cores, then the payload streaming at the slower of
+            // the wire and the gather/scatter DMA. No pack kernels, no
             // staging copies, no per-fragment active messages.
-            let upb = |side: &Side| {
-                let ty = if opt.canonicalize {
-                    side.ty.canonical()
-                } else {
-                    side.ty.clone()
-                };
-                ty.segment_estimate().saturating_mul(side.count).max(1) as f64
-                    / side.total().max(1) as f64
+            let opt = cfg.engine.optimizer;
+            let descriptors = Shatter {
+                units: segments(&layout(s, &opt), s) + segments(&layout(r, &opt), r),
+                total: s.total().max(1),
             };
-            stages.push(Stage {
-                fixed_ns: m.wire_lat_ns,
-                ns_per_byte: m.wire_nspb.max(m.nic_dma_nspb)
-                    + (upb(s) + upb(r)) * m.nic_desc_issue_ns,
-            });
+            let costs = NicCosts::of(&sys.topo);
+            stages.push(Stage::new(move |b| {
+                program_time(&costs, &ch.data, descriptors.units_in(b), b)
+            }));
         }
         PathClass::StreamTriggered => {
-            // Replay re-arm on the stream front-end (doorbell MMIO plus
-            // per-op issue for the five captured nodes), then the
-            // graph's own legs: zero-copy pack into the mapped bounce,
-            // the wire, zero-copy unpack. Completion is the graph's
-            // flag write — no per-fragment active messages, no CPU.
-            // Graph-baked kernels skip the driver launch path — the
-            // stream front-end pays op issue instead.
-            let graph_kernel = |side: &Side| {
-                let mut st = kernel_stage(&m, side, &opt, KernelFar::MappedHost);
-                st.fixed_ns = st.fixed_ns - m.launch_ns + m.stream_op_issue_ns;
-                st
-            };
-            stages.push(Stage {
-                fixed_ns: m.stream_doorbell_ns + 5.0 * m.stream_op_issue_ns,
-                ns_per_byte: 0.0,
-            });
-            stages.push(graph_kernel(s));
-            stages.push(Stage {
-                fixed_ns: m.wire_lat_ns,
-                ns_per_byte: m.wire_nspb,
-            });
-            stages.push(graph_kernel(r));
+            // Replay re-arm of the five captured nodes, then the graph's
+            // own legs: zero-copy pack into the mapped bounce, the wire,
+            // zero-copy unpack. Completion is the graph's flag write —
+            // no per-fragment active messages, no CPU.
+            stages.push(Stage::fixed(replay_cost(&sys.topo, 5)));
+            stages.push(kernel(s, s_gpu, Placement::MappedHost, true));
+            stages.push(wire());
+            stages.push(kernel(r, r_gpu, Placement::MappedHost, true));
         }
     }
     stages
@@ -470,19 +305,17 @@ pub fn select_path(sim: &mut Sim<MpiWorld>, s: &Side, r: &Side, same_node: bool)
     // The candidate must beat the incumbent by the margin; between the
     // two offload classes, plain better-than wins.
     let mut best_ns = inc_ns * SELECT_MARGIN;
-    if nic_ok {
-        let stages = path_stages(sim, s, r, PathClass::NicOffload);
-        let ns = pipeline_makespan_ns(total, total, 1, &stages);
-        if ns < best_ns {
-            best = PathClass::NicOffload;
-            best_ns = ns;
+    for (ok, class) in [
+        (nic_ok, PathClass::NicOffload),
+        (stream_ok, PathClass::StreamTriggered),
+    ] {
+        if !ok {
+            continue;
         }
-    }
-    if stream_ok {
-        let stages = path_stages(sim, s, r, PathClass::StreamTriggered);
-        let ns = pipeline_makespan_ns(total, total, 1, &stages);
+        let ns = pipeline_makespan_ns(total, total, 1, &path_stages(sim, s, r, class));
         if ns < best_ns {
-            best = PathClass::StreamTriggered;
+            best = class;
+            best_ns = ns;
         }
     }
     best
@@ -522,8 +355,7 @@ pub fn tuned_shape(
         );
         return shape;
     }
-    let stages = path_stages(sim, s, r, class);
-    let shape = pick_fragment(total, frag0, depth0, &stages);
+    let shape = pick_fragment(total, frag0, depth0, &path_stages(sim, s, r, class));
     sim.world.mpi.tuned_shapes.insert(key, shape);
     let counter = if shape == (frag0, depth0) {
         names::OPTIMIZER_FRAG_DEFAULT

@@ -25,7 +25,7 @@ pub mod world;
 
 pub use am::send_am;
 pub use channel::{Channel, ChannelKind, Link, NetError, NetSystem};
-pub use nic::{compile_program, execute_program, NicCosts, NicProgram};
+pub use nic::{compile_program, execute_program, program_time, NicCosts, NicProgram};
 pub use rdma::{ensure_registered, rdma_get, rdma_put};
 pub use topology::Topology;
 pub use wire::wire_send;

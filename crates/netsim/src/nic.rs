@@ -27,7 +27,7 @@
 //! `devengine` and `mpirt`'s CPU convertor) — the `xtask lint` offload
 //! rule bans descriptor-walking outside them.
 
-use crate::channel::NetError;
+use crate::channel::{Link, NetError};
 use crate::wire::wire_send;
 use crate::world::NetWorld;
 use datatype::{DataType, TypeError};
@@ -58,6 +58,34 @@ impl NicCosts {
             dma_bw: topo.nic_dma_bw,
         }
     }
+
+    /// Handler front-end serialization: issue of `descriptors`
+    /// gather/scatter descriptors.
+    pub fn issue_time(&self, descriptors: u64) -> SimTime {
+        SimTime::from_nanos(self.desc_issue.as_nanos().saturating_mul(descriptors))
+    }
+
+    /// Bytes the data link is reserved for to stream a `bytes` payload.
+    /// The NIC pipelines gather-DMA, wire and scatter-DMA per packet, so
+    /// the stream runs at the slowest leg: a DMA engine slower than the
+    /// wire shows up as extra serialization on the link.
+    pub fn stream_bytes(&self, wire_bw: Bandwidth, bytes: u64) -> u64 {
+        if self.dma_bw.bytes_per_sec() < wire_bw.bytes_per_sec() {
+            (bytes as f64 * wire_bw.bytes_per_sec() / self.dma_bw.bytes_per_sec()) as u64
+        } else {
+            bytes
+        }
+    }
+}
+
+/// What executing a program of `descriptors` descriptors that moves
+/// `bytes` takes on an idle data link `wire`: handler issue, the stream
+/// at the slowest leg, then the link latency — the sum
+/// [`execute_program`] charges before `done` runs.
+pub fn program_time(costs: &NicCosts, wire: &Link, descriptors: u64, bytes: u64) -> SimTime {
+    costs.issue_time(descriptors)
+        + wire.wire_time(costs.stream_bytes(wire.bandwidth, bytes))
+        + wire.latency
 }
 
 /// A compiled NIC DEV program: the merged gather/scatter descriptor
@@ -87,12 +115,6 @@ impl NicProgram {
 
     pub fn bytes(&self) -> u64 {
         self.bytes
-    }
-
-    /// Handler front-end serialization: descriptor issue for the whole
-    /// program.
-    pub fn issue_time(&self, costs: &NicCosts) -> SimTime {
-        SimTime::from_nanos(costs.desc_issue.as_nanos().saturating_mul(self.descriptors))
     }
 }
 
@@ -173,16 +195,9 @@ pub fn execute_program<W: NetWorld>(
     done: impl FnOnce(&mut Sim<W>) + 'static,
 ) -> Result<(), NetError> {
     let wire_bw = sim.world.net().try_channel(from, to)?.data.bandwidth;
-    let issue = prog.issue_time(costs);
-    // The NIC pipelines gather-DMA, wire and scatter-DMA per packet;
-    // the stream runs at the slowest leg. A DMA engine slower than the
-    // wire shows up as extra serialization on the (reserved) data link.
+    let issue = costs.issue_time(prog.descriptors);
     let bytes = prog.bytes;
-    let wire_bytes = if costs.dma_bw.bytes_per_sec() < wire_bw.bytes_per_sec() {
-        (bytes as f64 * wire_bw.bytes_per_sec() / costs.dma_bw.bytes_per_sec()) as u64
-    } else {
-        bytes
-    };
+    let wire_bytes = costs.stream_bytes(wire_bw, bytes);
     let now = sim.now();
     sim.trace.span_at(
         now,

@@ -3,7 +3,6 @@
 pub struct GpuSpec {
     pub name: u64,
     pub good_bw: u64,
-    pub sim_only: u64,
     pub tuner_only: u64,
     pub dead_cost: u64,
 }

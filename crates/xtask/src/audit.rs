@@ -5,10 +5,10 @@
 //! graph ([`crate::graph`]) and runs four cross-file analyses:
 //!
 //! 1. **charge-model** — every cost constant in the `gpusim` spec and
-//!    topology tables must be read by both a simulator charge site and
-//!    a tuner cost term; a one-sided constant means the analytic model
-//!    and the simulator have drifted apart and every never-worse gate
-//!    built on their agreement is silently corrupt.
+//!    topology tables must be read by some simulator charge site; a
+//!    constant nothing charges is dead calibration. (The tuners price
+//!    through the charge functions themselves, so the model cannot
+//!    drift from the simulator and needs no cross-check.)
 //! 2. **fault-reach** — every simulated-time charge (`.reserve(`)
 //!    reachable from the `mpirt` protocol entry surface must have a
 //!    `faultsim` consult somewhere on the call path, replacing the old
@@ -53,24 +53,8 @@ const SPEC_FILE: &str = "crates/gpusim/src/spec.rs";
 const SPEC_STRUCTS: [&str; 2] = ["GpuSpec", "NodeTopology"];
 
 /// Spec fields that are descriptive identity or capacity, not cost
-/// constants: nothing charges or models them per-byte.
+/// constants: nothing charges them.
 const SPEC_DESCRIPTIVE: [&str; 3] = ["name", "interconnect", "memory_bytes"];
-
-/// Where the analytic model lives: the tuner proper and the devengine
-/// planner it feeds.
-const TUNER_FILES: [&str; 2] = ["crates/mpirt/src/tuner.rs", "crates/devengine/src/tune.rs"];
-
-/// Files the tuner-side reachability may expand into: the cost tables
-/// and the arch registry. A spec field read inside a helper here that
-/// the tuner calls (e.g. `effective_traffic_bw`, `warp_chunk`) counts
-/// as modeled.
-const TUNER_REACH: [&str; 5] = [
-    "crates/mpirt/src/tuner.rs",
-    "crates/devengine/src/tune.rs",
-    "crates/gpusim/src/spec.rs",
-    "crates/gpusim/src/arch.rs",
-    "crates/gpusim/src/system.rs",
-];
 
 /// Charge-side roots beyond [`CHARGE_WRAPPERS`]: the sanctioned DEV
 /// executors charge time through the wrappers but read their own cost
@@ -151,26 +135,19 @@ fn is_charge_root(rel: &str) -> bool {
             .any(|p| rel == *p || (p.ends_with('/') && rel.starts_with(p)))
 }
 
-/// Union of field reads over the non-test functions reachable from
-/// `roots`, where the walk only expands callees for which `expand`
-/// holds. Reads in the root functions themselves always count.
-fn reads_from(
-    graph: &CallGraph,
-    roots: impl Fn(&FnNode) -> bool,
-    expand: impl Fn(&FnNode) -> bool,
-) -> BTreeSet<String> {
+/// Union of field reads over the non-test functions reachable from the
+/// charge roots, expanding only into the simulator crates.
+fn charge_reads(graph: &CallGraph) -> BTreeSet<String> {
     let root_ids: Vec<usize> = graph
         .nodes
         .iter()
         .enumerate()
-        .filter(|(_, n)| !n.in_test && roots(n))
+        .filter(|(_, n)| !n.in_test && is_charge_root(&n.file))
         .map(|(i, _)| i)
         .collect();
     // `reachable_unprotected` stops descending at "protected" nodes;
-    // here the barrier is "not an expandable file", and the roots are
-    // always expanded (they pass `roots`, which implies `expand` in
-    // both uses below — wrapper and tuner files expand themselves).
-    let reached = graph.reachable_unprotected(root_ids, |n| n.in_test || !expand(n));
+    // here the barrier is "outside the simulator crates".
+    let reached = graph.reachable_unprotected(root_ids, |n| n.in_test || !in_sim_crates(&n.file));
     let mut reads = BTreeSet::new();
     for &i in reached.keys() {
         reads.extend(graph.nodes[i].field_reads.iter().cloned());
@@ -189,50 +166,19 @@ fn charge_model(files: &[FileData], graph: &CallGraph, out: &mut Vec<Violation>)
     if fields.is_empty() {
         return;
     }
-    let charge_reads = reads_from(
-        graph,
-        |n| is_charge_root(&n.file),
-        |n| in_sim_crates(&n.file) && !TUNER_FILES.contains(&n.file.as_str()),
-    );
-    let tuner_reads = reads_from(
-        graph,
-        |n| TUNER_FILES.contains(&n.file.as_str()),
-        |n| TUNER_REACH.contains(&n.file.as_str()),
-    );
+    let charged = charge_reads(graph);
     for (field, line) in fields {
-        if SPEC_DESCRIPTIVE.contains(&field.as_str()) {
+        if SPEC_DESCRIPTIVE.contains(&field.as_str()) || charged.contains(&field) {
             continue;
         }
-        let charged = charge_reads.contains(&field);
-        let modeled = tuner_reads.contains(&field);
-        let key = format!("{SPEC_FILE}::{field}");
-        match (charged, modeled) {
-            (true, true) => {}
-            (true, false) => push(
-                out,
-                "charge-model",
-                key,
-                line,
-                "tuner-blind",
-                format!("`{field}` is charged by the simulator but absent from the tuner model"),
-            ),
-            (false, true) => push(
-                out,
-                "charge-model",
-                key,
-                line,
-                "sim-blind",
-                format!("`{field}` is in the tuner model but no simulator charge site reads it"),
-            ),
-            (false, false) => push(
-                out,
-                "charge-model",
-                key,
-                line,
-                "dead-const",
-                format!("`{field}` is read by neither a charge site nor the tuner"),
-            ),
-        }
+        push(
+            out,
+            "charge-model",
+            format!("{SPEC_FILE}::{field}"),
+            line,
+            "dead-const",
+            format!("`{field}` is read by no simulator charge site"),
+        );
     }
 }
 

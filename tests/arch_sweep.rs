@@ -85,9 +85,9 @@ fn k40_registry_entry_is_identical_to_the_default() {
 fn newer_archs_are_faster_end_to_end() {
     let k40 = GpuArch::default_arch();
     let a100 = GpuArch::named("a100");
-    assert!(a100.cost().launch_ns < k40.cost().launch_ns);
+    assert!(a100.spec().launch_overhead < k40.spec().launch_overhead);
     assert!(
-        a100.cost().p2p_gbps > k40.cost().p2p_gbps,
+        a100.topology().pcie_p2p.as_gbps() > k40.topology().pcie_p2p.as_gbps(),
         "NVLink p2p must beat PCIe p2p"
     );
 
