@@ -7,23 +7,152 @@
 //! goes through the same protocol selection (pipelined IPC RDMA /
 //! copy-in/out / eager) as a plain send.
 //!
-//! Algorithms are the textbook ones Open MPI's `coll/base` uses at
-//! these scales: binomial-tree broadcast, ring allgather, pairwise
-//! alltoall, dissemination barrier.
+//! The algorithms (binomial-tree broadcast, ring allgather, pairwise
+//! alltoall, dissemination barrier) are defined once, as round-by-round
+//! schedules in [`crate::sched`]; this module is their full-stack
+//! executor. Each rank posts its round's `irecv` and `isend`s, and
+//! moves to the next round when they have all completed.
 //!
 //! Buffers are passed as one pointer per rank (each rank's buffer in
 //! its own memory space), since all ranks live in one simulation.
 
 use crate::api::{irecv, isend, RecvArgs, SendArgs};
 use crate::request::{join, Request};
+use crate::sched::{Coll, Sends, Step};
 use crate::world::MpiWorld;
 use datatype::DataType;
 use gpusim::GpuWorld as _;
 use memsim::Ptr;
 use simcore::Sim;
+use std::cell::Cell;
+use std::rc::Rc;
 
 /// Tag space reserved for collectives (far above user tags).
 const COLL_TAG_BASE: u64 = 1 << 40;
+
+/// One collective call: its schedule, element type and buffers, and the
+/// request that completes once every rank has run its last round. Rank
+/// `r`'s block `b` is sent from `send[r] + b·stride` and received into
+/// `recv[r] + b·stride`.
+struct Exec {
+    coll: Coll,
+    ty: DataType,
+    count: u64,
+    /// Tag of round 0; round `k` uses `tag + k`.
+    tag: u64,
+    send: Rc<[Ptr]>,
+    recv: Rc<[Ptr]>,
+    stride: u64,
+    running: Cell<usize>,
+    done: Request,
+}
+
+impl Exec {
+    fn new(
+        coll: Coll,
+        ty: DataType,
+        count: u64,
+        tag: u64,
+        bufs: [Rc<[Ptr]>; 2],
+        stride: u64,
+    ) -> Rc<Exec> {
+        let [send, recv] = bufs;
+        let running = Cell::new(send.len());
+        let done = Request::new();
+        Rc::new(Exec {
+            coll,
+            ty,
+            count,
+            tag,
+            send,
+            recv,
+            stride,
+            running,
+            done,
+        })
+    }
+
+    fn n(&self) -> u32 {
+        self.send.len() as u32
+    }
+
+    /// Start every rank at round 0.
+    fn start(self: Rc<Exec>, sim: &mut Sim<MpiWorld>) -> Request {
+        for r in 0..self.send.len() {
+            run_rank(sim, Rc::clone(&self), r, 0);
+        }
+        self.done.clone()
+    }
+
+    fn post_sends(
+        &self,
+        sim: &mut Sim<MpiWorld>,
+        r: usize,
+        tag: u64,
+        sends: Sends,
+    ) -> Vec<Request> {
+        let args = |s: Step| SendArgs {
+            from: r,
+            to: s.peer as usize,
+            tag,
+            ty: self.ty.clone(),
+            count: self.count,
+            buf: self.send[r].add(u64::from(s.block) * self.stride),
+        };
+        sends.map(|s| isend(sim, args(s))).collect()
+    }
+}
+
+/// Run rank `r`'s rounds from `round` on: post the round's sends and
+/// receive, and recurse once they have all completed.
+fn run_rank(sim: &mut Sim<MpiWorld>, x: Rc<Exec>, r: usize, round: u32) {
+    if round == x.coll.rounds(x.n()) {
+        x.running.set(x.running.get() - 1);
+        if x.running.get() == 0 {
+            x.done.complete(sim, Ok(0));
+        }
+        return;
+    }
+    let plan = x.coll.round(x.n(), r as u32, round);
+    let tag = x.tag + u64::from(round);
+    let next = move |sim: &mut Sim<MpiWorld>, x: Rc<Exec>, reqs: Vec<Request>| {
+        join(sim, &reqs).on_complete(sim, move |sim, res| {
+            res.as_ref().expect("collective round failed");
+            run_rank(sim, x, r, round + 1);
+        });
+    };
+    let mut reqs = Vec::new();
+    if !plan.sends_wait {
+        reqs = x.post_sends(sim, r, tag, plan.sends);
+    }
+    if let Some(s) = plan.recv {
+        let args = RecvArgs {
+            rank: r,
+            src: Some(s.peer as usize),
+            tag: Some(tag),
+            ty: x.ty.clone(),
+            count: x.count,
+            buf: x.recv[r].add(u64::from(s.block) * x.stride),
+        };
+        let rv = irecv(sim, args);
+        if plan.sends_wait {
+            // Forward only what has landed.
+            rv.on_complete(sim, move |sim, res| {
+                res.as_ref().expect("collective receive failed");
+                let reqs = x.post_sends(sim, r, tag, plan.sends);
+                next(sim, x, reqs);
+            });
+            return;
+        }
+        reqs.push(rv);
+    }
+    next(sim, x, reqs);
+}
+
+/// Bytes between consecutive blocks of `count` instances of `ty`.
+fn block_bytes(ty: &DataType, count: u64) -> u64 {
+    count * ty.extent().max(ty.size() as i64) as u64
+}
 
 /// Broadcast `count` instances of `ty` from `root`'s buffer to every
 /// rank, binomial tree. Completes when all ranks have the data.
@@ -35,98 +164,11 @@ pub fn bcast(
     bufs: &[Ptr],
     op_tag: u64,
 ) -> Request {
-    let p = bufs.len();
-    assert_eq!(p, sim.world.mpi.ranks.len(), "one buffer per rank");
-    let done = Request::new();
-    if p == 1 {
-        done.complete(sim, Ok(0));
-        return done;
-    }
+    assert_eq!(bufs.len(), sim.world.mpi.ranks.len(), "one buffer per rank");
+    let bufs: Rc<[Ptr]> = bufs.into();
+    let coll = Coll::Bcast { root: root as u32 };
     let tag = COLL_TAG_BASE + op_tag;
-    let remaining = std::rc::Rc::new(std::cell::RefCell::new(p - 1));
-    // Each rank forwards to its binomial subtree once its own data is
-    // ready; the root starts immediately.
-    fan_out(
-        sim,
-        root,
-        root,
-        p,
-        ty,
-        count,
-        bufs.to_vec(),
-        tag,
-        remaining,
-        done.clone(),
-    );
-    done
-}
-
-/// Recursive binomial fan-out from `vrank`-relative tree structure.
-#[allow(clippy::too_many_arguments)]
-fn fan_out(
-    sim: &mut Sim<MpiWorld>,
-    rank: usize,
-    root: usize,
-    p: usize,
-    ty: &DataType,
-    count: u64,
-    bufs: Vec<Ptr>,
-    tag: u64,
-    remaining: std::rc::Rc<std::cell::RefCell<usize>>,
-    done: Request,
-) {
-    let vrank = (rank + p - root) % p;
-    // Children of vrank are vrank + 2^k for 2^k > vrank, while in range.
-    let mut k = 1usize;
-    while k <= vrank {
-        k <<= 1;
-    }
-    while vrank + k < p {
-        let child_v = vrank + k;
-        let child = (child_v + root) % p;
-        let s = isend(
-            sim,
-            SendArgs {
-                from: rank,
-                to: child,
-                tag,
-                ty: ty.clone(),
-                count,
-                buf: bufs[rank],
-            },
-        );
-        // The send side needs no continuation; completion is tracked on
-        // the receiving child.
-        let _ = s;
-        let r = irecv(
-            sim,
-            RecvArgs {
-                rank: child,
-                src: Some(rank),
-                tag: Some(tag),
-                ty: ty.clone(),
-                count,
-                buf: bufs[child],
-            },
-        );
-        let ty2 = ty.clone();
-        let bufs2 = bufs.clone();
-        let rem = std::rc::Rc::clone(&remaining);
-        let done2 = done.clone();
-        r.on_complete(sim, move |sim, res| {
-            res.as_ref().expect("bcast transfer failed");
-            {
-                let mut m = rem.borrow_mut();
-                *m -= 1;
-                if *m == 0 {
-                    done2.complete(sim, Ok(ty2.size() * count));
-                }
-            }
-            // The child now forwards to its own subtree.
-            fan_out(sim, child, root, p, &ty2, count, bufs2, tag, rem, done2);
-        });
-        k <<= 1;
-    }
+    Exec::new(coll, ty.clone(), count, tag, [bufs.clone(), bufs], 0).start(sim)
 }
 
 /// Ring allgather: every rank contributes `count` instances of `ty`
@@ -141,94 +183,34 @@ pub fn allgather(
     recv_bufs: &[Ptr],
     op_tag: u64,
 ) -> Request {
-    let p = send_bufs.len();
-    assert_eq!(p, recv_bufs.len());
+    assert_eq!(send_bufs.len(), recv_bufs.len());
+    let block = block_bytes(ty, count);
+    let recv: Rc<[Ptr]> = recv_bufs.into();
     let tag = COLL_TAG_BASE + (1 << 20) + op_tag;
-    let block = count * ty.extent().max(ty.size() as i64) as u64;
+    let x = Exec::new(
+        Coll::Allgather,
+        ty.clone(),
+        count,
+        tag,
+        [recv.clone(), recv],
+        block,
+    );
 
     // Local copy of own contribution into slot `r` (charged as a
     // device/host copy on the rank's copy stream). The ring starts
-    // only once the copy lands: step 0 sends slot `r` itself, and an
+    // only once the copy lands: round 0 sends slot `r` itself, and an
     // eager-path send snapshots the block when posted — posting before
     // the copy completes would ship uninitialized bytes (seen at 32
     // ranks with small host blocks; device rendezvous masked it).
-    let mut reqs: Vec<Request> = Vec::new();
-    for r in 0..p {
-        let dst = recv_bufs[r].add(r as u64 * block);
+    for (r, &src) in send_bufs.iter().enumerate() {
         let stream = sim.world.mpi.ranks[r].copy_stream;
-        let req = Request::new();
-        let req2 = req.clone();
-        let size = ty.size() * count;
-        let src = send_bufs[r];
-        let ty = ty.clone();
-        let recv_bufs = recv_bufs.to_vec();
-        gpusim::memcpy(
-            sim,
-            stream,
-            src,
-            dst,
-            block.min(size.max(block)),
-            move |sim, _| {
-                // Ring: in step s (0..p-1), rank r sends block
-                // (r - s) mod p to r+1 and receives block
-                // (r - s - 1) mod p from r-1. Each rank proceeds to
-                // its next step when both its step transfers complete.
-                ring_step(sim, r, 0, p, ty, count, block, recv_bufs, tag, req2);
-            },
-        );
-        reqs.push(req);
+        let dst = x.recv[r].add(r as u64 * block);
+        let x = Rc::clone(&x);
+        gpusim::memcpy(sim, stream, src, dst, block, move |sim, _| {
+            run_rank(sim, x, r, 0);
+        });
     }
-    join(sim, &reqs)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn ring_step(
-    sim: &mut Sim<MpiWorld>,
-    r: usize,
-    step: usize,
-    p: usize,
-    ty: DataType,
-    count: u64,
-    block: u64,
-    recv_bufs: Vec<Ptr>,
-    tag: u64,
-    done: Request,
-) {
-    if step == p - 1 {
-        done.complete(sim, Ok(0));
-        return;
-    }
-    let right = (r + 1) % p;
-    let left = (r + p - 1) % p;
-    let send_block = (r + p - step) % p;
-    let recv_block = (r + p - step - 1) % p;
-    let s = isend(
-        sim,
-        SendArgs {
-            from: r,
-            to: right,
-            tag: tag + step as u64,
-            ty: ty.clone(),
-            count,
-            buf: recv_bufs[r].add(send_block as u64 * block),
-        },
-    );
-    let rv = irecv(
-        sim,
-        RecvArgs {
-            rank: r,
-            src: Some(left),
-            tag: Some(tag + step as u64),
-            ty: ty.clone(),
-            count,
-            buf: recv_bufs[r].add(recv_block as u64 * block),
-        },
-    );
-    let both = join(sim, &[s, rv]);
-    both.on_complete(sim, move |sim, res| {
-        res.as_ref().expect("allgather step failed");
-        ring_step(sim, r, step + 1, p, ty, count, block, recv_bufs, tag, done);
-    });
+    x.done.clone()
 }
 
 /// Pairwise alltoall: rank r's `send_bufs[r]` holds `p` blocks of
@@ -242,181 +224,47 @@ pub fn alltoall(
     recv_bufs: &[Ptr],
     op_tag: u64,
 ) -> Request {
-    let p = send_bufs.len();
-    assert_eq!(p, recv_bufs.len());
-    let tag = COLL_TAG_BASE + (2 << 20) + op_tag;
-    let block = count * ty.extent().max(ty.size() as i64) as u64;
-    let mut reqs: Vec<Request> = Vec::new();
+    assert_eq!(send_bufs.len(), recv_bufs.len());
+    let block = block_bytes(ty, count);
 
     // Local block r -> r.
-    for r in 0..p {
-        let stream = sim.world.mpi.ranks[r].copy_stream;
-        let req = Request::new();
-        let req2 = req.clone();
-        let src = send_bufs[r].add(r as u64 * block);
-        let dst = recv_bufs[r].add(r as u64 * block);
-        let size = ty.size() * count;
-        gpusim::memcpy(sim, stream, src, dst, block, move |sim, _| {
-            req2.complete(sim, Ok(size));
-        });
-        reqs.push(req);
-    }
-
-    // Rounds: in round d (1..p), r sends block (r+d)%p to (r+d)%p and
-    // receives from (r-d)%p. All rounds issued per rank sequentially.
-    for r in 0..p {
-        let req = Request::new();
-        alltoall_round(
-            sim,
-            r,
-            1,
-            p,
-            ty.clone(),
-            count,
-            block,
-            send_bufs.to_vec(),
-            recv_bufs.to_vec(),
-            tag,
-            req.clone(),
-        );
-        reqs.push(req);
-    }
+    let mut reqs: Vec<Request> = (0..send_bufs.len())
+        .map(|r| {
+            let stream = sim.world.mpi.ranks[r].copy_stream;
+            let req = Request::new();
+            let req2 = req.clone();
+            let src = send_bufs[r].add(r as u64 * block);
+            let dst = recv_bufs[r].add(r as u64 * block);
+            let size = ty.size() * count;
+            gpusim::memcpy(sim, stream, src, dst, block, move |sim, _| {
+                req2.complete(sim, Ok(size));
+            });
+            req
+        })
+        .collect();
+    let tag = COLL_TAG_BASE + (2 << 20) + op_tag;
+    let bufs = [send_bufs.into(), recv_bufs.into()];
+    reqs.push(Exec::new(Coll::Alltoall, ty.clone(), count, tag, bufs, block).start(sim));
     join(sim, &reqs)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn alltoall_round(
-    sim: &mut Sim<MpiWorld>,
-    r: usize,
-    d: usize,
-    p: usize,
-    ty: DataType,
-    count: u64,
-    block: u64,
-    send_bufs: Vec<Ptr>,
-    recv_bufs: Vec<Ptr>,
-    tag: u64,
-    done: Request,
-) {
-    if d == p {
-        done.complete(sim, Ok(0));
-        return;
-    }
-    let to = (r + d) % p;
-    let from = (r + p - d) % p;
-    let s = isend(
-        sim,
-        SendArgs {
-            from: r,
-            to,
-            tag: tag + d as u64,
-            ty: ty.clone(),
-            count,
-            buf: send_bufs[r].add(to as u64 * block),
-        },
-    );
-    let rv = irecv(
-        sim,
-        RecvArgs {
-            rank: r,
-            src: Some(from),
-            tag: Some(tag + d as u64),
-            ty: ty.clone(),
-            count,
-            buf: recv_bufs[r].add(from as u64 * block),
-        },
-    );
-    let both = join(sim, &[s, rv]);
-    both.on_complete(sim, move |sim, res| {
-        res.as_ref().expect("alltoall round failed");
-        alltoall_round(
-            sim,
-            r,
-            d + 1,
-            p,
-            ty,
-            count,
-            block,
-            send_bufs,
-            recv_bufs,
-            tag,
-            done,
-        );
-    });
-}
-
-/// Dissemination barrier over 1-byte eager messages.
+/// Dissemination barrier over 1-byte eager messages. The per-rank host
+/// scratch they carry is freed when the barrier completes.
 pub fn barrier(sim: &mut Sim<MpiWorld>, op_tag: u64) -> Request {
     let p = sim.world.mpi.ranks.len();
-    let tag = COLL_TAG_BASE + (3 << 20) + op_tag;
-    // Tiny host scratch per rank.
-    let scratch: Vec<Ptr> = (0..p)
+    let scratch: Rc<[Ptr]> = (0..p)
         .map(|_| sim.world.mem().alloc(memsim::MemSpace::Host, 8).unwrap())
         .collect();
     let byte = DataType::byte().commit();
-    let mut reqs = Vec::new();
-    for r in 0..p {
-        let req = Request::new();
-        barrier_round(
-            sim,
-            r,
-            0,
-            p,
-            byte.clone(),
-            scratch.clone(),
-            tag,
-            req.clone(),
-        );
-        reqs.push(req);
-    }
-    join(sim, &reqs)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn barrier_round(
-    sim: &mut Sim<MpiWorld>,
-    r: usize,
-    k: u32,
-    p: usize,
-    byte: DataType,
-    scratch: Vec<Ptr>,
-    tag: u64,
-    done: Request,
-) {
-    let dist = 1usize << k;
-    if dist >= p {
-        done.complete(sim, Ok(0));
-        return;
-    }
-    let to = (r + dist) % p;
-    let from = (r + p - dist) % p;
-    let s = isend(
-        sim,
-        SendArgs {
-            from: r,
-            to,
-            tag: tag + k as u64,
-            ty: byte.clone(),
-            count: 1,
-            buf: scratch[r],
-        },
-    );
-    let rv = irecv(
-        sim,
-        RecvArgs {
-            rank: r,
-            src: Some(from),
-            tag: Some(tag + k as u64),
-            ty: byte.clone(),
-            count: 1,
-            buf: scratch[r],
-        },
-    );
-    let both = join(sim, &[s, rv]);
-    both.on_complete(sim, move |sim, res| {
-        res.as_ref().expect("barrier round failed");
-        barrier_round(sim, r, k + 1, p, byte, scratch, tag, done);
+    let tag = COLL_TAG_BASE + (3 << 20) + op_tag;
+    let bufs = [scratch.clone(), scratch.clone()];
+    let done = Exec::new(Coll::Barrier, byte, 1, tag, bufs, 0).start(sim);
+    done.on_complete(sim, move |sim, _| {
+        for &b in scratch.iter() {
+            sim.world.mem().free(b).expect("barrier scratch");
+        }
     });
+    done
 }
 
 #[cfg(test)]
@@ -551,6 +399,18 @@ mod tests {
         sim.run();
         assert!(req.is_complete());
         assert_eq!(sim.world.mpi.matcher.pending(), 0);
+    }
+
+    #[test]
+    fn barriers_free_their_scratch() {
+        let mut sim = four_ranks();
+        let before = sim.world.mem().pool(MemSpace::Host).used();
+        for epoch in 0..10 {
+            let req = barrier(&mut sim, epoch);
+            sim.run();
+            assert!(req.is_complete());
+        }
+        assert_eq!(sim.world.mem().pool(MemSpace::Host).used(), before);
     }
 
     #[test]

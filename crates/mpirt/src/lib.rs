@@ -26,6 +26,7 @@ pub mod onesided;
 pub mod protocol;
 pub mod request;
 pub mod scale;
+pub mod sched;
 pub mod session;
 pub mod tuner;
 pub mod world;

@@ -27,11 +27,14 @@
 //! `tests/shard_equivalence.rs`), so parallelism is purely a
 //! wall-clock optimization.
 //!
-//! Collective algorithms mirror the classic Open MPI/MPICH defaults at
-//! message granularity: binomial-tree broadcast, ring allgather,
-//! pairwise-rotation alltoall, dissemination barrier, and ring RMA
-//! put/get epochs (data + ack, request + data).
+//! The collectives (binomial-tree broadcast, ring allgather,
+//! pairwise-rotation alltoall, dissemination barrier) run the schedules
+//! of [`crate::sched`] at message granularity, the same schedules the
+//! full-stack executor in [`crate::coll`] runs. The ring RMA put/get
+//! epochs (data + ack, request + data) are request/response patterns
+//! only this model has, so they live here.
 
+use crate::sched::Coll;
 use faultsim::{FaultDecision, FaultOp, FaultPlan, FaultSim};
 use netsim::Topology;
 use simcore::rng::SimRng;
@@ -85,28 +88,24 @@ pub enum ScaleOp {
 }
 
 impl ScaleOp {
-    /// Rounds the op needs for a job of `n` ranks.
-    fn rounds(self, n: u32) -> u32 {
+    /// The collective's schedule and the kind and size of every
+    /// message it sends; `None` for the RMA rings.
+    fn sched(self) -> Option<(Coll, MsgKind, u64)> {
         match self {
-            ScaleOp::Bcast { .. } => 1,
-            ScaleOp::Allgather { .. } | ScaleOp::Alltoall { .. } => n - 1,
-            ScaleOp::Barrier => ceil_log2(n),
-            ScaleOp::PutRing { .. } | ScaleOp::GetRing { .. } => {
-                if n > 1 {
-                    1
-                } else {
-                    0
-                }
-            }
+            ScaleOp::Bcast { root, bytes } => Some((Coll::Bcast { root }, MsgKind::Data, bytes)),
+            ScaleOp::Allgather { bytes } => Some((Coll::Allgather, MsgKind::Data, bytes)),
+            ScaleOp::Alltoall { bytes } => Some((Coll::Alltoall, MsgKind::Data, bytes)),
+            ScaleOp::Barrier => Some((Coll::Barrier, MsgKind::Ack, CTRL_BYTES)),
+            ScaleOp::PutRing { .. } | ScaleOp::GetRing { .. } => None,
         }
     }
-}
 
-fn ceil_log2(n: u32) -> u32 {
-    if n <= 1 {
-        0
-    } else {
-        32 - (n - 1).leading_zeros()
+    /// Rounds the op needs for a job of `n` ranks.
+    fn rounds(self, n: u32) -> u32 {
+        match self.sched() {
+            Some((coll, ..)) => coll.rounds(n),
+            None => u32::from(n > 1),
+        }
     }
 }
 
@@ -319,63 +318,23 @@ fn send_msg(
     );
 }
 
-/// Binomial-tree children of `rank` for a bcast rooted at `root`:
-/// descending sub-tree masks, MPICH order.
-fn bcast_children(shape: &Shape, st: &mut RankSt, ctx: &mut ShardCtx<'_, ScaleMsg>) {
-    let (root, bytes) = match shape.program[st.step as usize] {
-        ScaleOp::Bcast { root, bytes } => (root, bytes),
-        other => unreachable!("bcast_children in {other:?}"),
-    };
-    let n = shape.ranks;
-    let v = (st.rank + n - root % n) % n; // relative rank
-    let mut mask = if v == 0 {
-        // Root: start at the largest power of two below n.
-        let mut m = 1u32;
-        while m < n {
-            m <<= 1;
-        }
-        m >> 1
-    } else {
-        (v & v.wrapping_neg()) >> 1 // below our lowest set bit
-    };
-    while mask > 0 {
-        if v + mask < n {
-            let dst = (v + mask + root) % n;
-            send_msg(shape, st, ctx, dst, MsgKind::Data, bytes);
-        }
-        mask >>= 1;
-    }
-}
-
 /// Entering round `st.round` of the current op: emit its sends and set
 /// how many receives finish it.
 fn start_round(shape: &Shape, st: &mut RankSt, ctx: &mut ShardCtx<'_, ScaleMsg>) {
     let n = shape.ranks;
     let r = st.rank;
-    match shape.program[st.step as usize] {
-        ScaleOp::Bcast { root, .. } => {
-            let v = (r + n - root % n) % n;
-            if v == 0 {
-                st.pending = 0;
-                bcast_children(shape, st, ctx);
-            } else {
-                st.pending = 1;
+    let op = shape.program[st.step as usize];
+    if let Some((coll, kind, bytes)) = op.sched() {
+        let round = coll.round(n, r, st.round);
+        st.pending = u32::from(round.recv.is_some());
+        if !round.sends_wait {
+            for s in round.sends {
+                send_msg(shape, st, ctx, s.peer, kind, bytes);
             }
         }
-        ScaleOp::Allgather { bytes } => {
-            st.pending = 1;
-            send_msg(shape, st, ctx, (r + 1) % n, MsgKind::Data, bytes);
-        }
-        ScaleOp::Alltoall { bytes } => {
-            st.pending = 1;
-            let peer = (r + st.round + 1) % n;
-            send_msg(shape, st, ctx, peer, MsgKind::Data, bytes);
-        }
-        ScaleOp::Barrier => {
-            st.pending = 1;
-            let peer = (r + (1 << st.round)) % n;
-            send_msg(shape, st, ctx, peer, MsgKind::Ack, CTRL_BYTES);
-        }
+        return;
+    }
+    match op {
         ScaleOp::PutRing { bytes } => {
             // Await the ack of our put and the put from our left.
             st.pending = 2;
@@ -386,6 +345,7 @@ fn start_round(shape: &Shape, st: &mut RankSt, ctx: &mut ShardCtx<'_, ScaleMsg>)
             st.pending = 2;
             send_msg(shape, st, ctx, (r + 1) % n, MsgKind::Req, CTRL_BYTES);
         }
+        other => unreachable!("{other:?} has a schedule"),
     }
 }
 
@@ -399,8 +359,19 @@ fn on_msg(
 ) {
     debug_assert!(st.pending > 0, "unexpected message in a settled round");
     st.pending -= 1;
-    match shape.program[st.step as usize] {
-        ScaleOp::Bcast { .. } => bcast_children(shape, st, ctx),
+    let op = shape.program[st.step as usize];
+    if let Some((coll, send_kind, bytes)) = op.sched() {
+        // The round's one receive has landed: post the sends that
+        // waited for it.
+        let round = coll.round(shape.ranks, st.rank, st.round);
+        if round.sends_wait {
+            for s in round.sends {
+                send_msg(shape, st, ctx, s.peer, send_kind, bytes);
+            }
+        }
+        return;
+    }
+    match op {
         ScaleOp::PutRing { .. } => {
             if kind == MsgKind::Data {
                 // The put landed; ack the origin.
@@ -413,7 +384,7 @@ fn on_msg(
                 send_msg(shape, st, ctx, src, MsgKind::Data, bytes);
             }
         }
-        ScaleOp::Allgather { .. } | ScaleOp::Alltoall { .. } | ScaleOp::Barrier => {}
+        other => unreachable!("{other:?} has a schedule"),
     }
 }
 

@@ -541,9 +541,15 @@ fn run_shard<W: ShardModel>(
     let s = part.shards as usize;
     let me = st.id as usize;
     loop {
-        drain_inboxes(st, shared, s, me);
-
+        // Horizon first, then drain. A neighbor pushes its envelopes
+        // before it publishes the clock that covers them, so every
+        // envelope below the horizon just read is already in a mailbox
+        // and lands in the calendar now. Draining first would leave a
+        // gap in which a neighbor could push an envelope and raise its
+        // clock past it, and this shard would run beyond its timestamp
+        // (DESIGN.md §14, obligation 5).
         let safe = safe_horizon(shared, lookahead, s, me);
+        drain_inboxes(st, shared, s, me);
 
         // Process every event strictly below the horizon.
         let mut progressed = false;

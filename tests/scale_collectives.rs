@@ -69,6 +69,31 @@ fn bcast_reaches_64_ranks_on_a_fat_tree() {
     }
 }
 
+/// A non-power-of-two job with a root in the middle: the shape where
+/// binomial-tree variants disagree most.
+#[test]
+fn bcast_vector_from_a_middle_root_on_13_ranks() {
+    let n = 13usize;
+    let mut sess = Session::builder().ranks(n).build();
+    let ty = DataType::vector(32, 4, 9, &DataType::double())
+        .unwrap()
+        .commit();
+    let len = ty.extent() as u64;
+    let bufs: Vec<Ptr> = (0..n).map(|_| host_alloc(&mut sess, len)).collect();
+    let data: Vec<u8> = (0..len).map(|i| (i % 251) as u8 + 1).collect();
+    sess.world.mem().write(bufs[6], &data).unwrap(); // root = 6
+    let req = bcast(&mut sess, 6, &ty, 1, &bufs, 0);
+    sess.run();
+    assert!(req.is_complete());
+    for (r, b) in bufs.iter().enumerate() {
+        let got = sess.world.mem().read_vec(*b, len).unwrap();
+        for s in ty.segments(1) {
+            let range = s.disp as usize..(s.disp + s.len as i64) as usize;
+            assert_eq!(&got[range.clone()], &data[range], "rank {r}");
+        }
+    }
+}
+
 #[test]
 fn allgather_assembles_32_rank_ring() {
     let n = 32usize;
